@@ -33,7 +33,15 @@ from .energy import (
     chemical_potential,
     omega_field,
 )
-from .solver import SolverConfig, SolveReport, SolverDivergedError, precond_solve, line_minimize, psd_solve
+from .solver import (
+    SolverConfig,
+    SolveReport,
+    SolverDivergedError,
+    LineSearchError,
+    precond_solve,
+    line_minimize,
+    psd_solve,
+)
 from .dynamics import (
     AdaptiveConfig,
     DiagnosticsRecord,

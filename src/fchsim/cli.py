@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ from .output import (
     write_manifest,
     write_snapshot,
 )
-from .potential import PhysParams
+from .potential import PhysParams, PotentialDomainError
 from .scenarios import (
     PRESET_NAMES,
     RNG_NAME,
@@ -43,7 +43,7 @@ from .scenarios import (
     manufactured_state,
     preset,
 )
-from .solver import SolverConfig, SolverDivergedError
+from .solver import LineSearchError, SolverConfig, SolverDivergedError
 
 __all__ = ["ConfigError", "RunConfig", "cmd_run", "cmd_convergence", "cmd_inspect", "main"]
 
@@ -144,9 +144,6 @@ class RunConfig:
             cfg.set(key.strip(), raw)
         return cfg
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RunConfig) and self.values == other.values
-
 
 def _build_scenario(cfg: RunConfig) -> Scenario:
     name = cfg.get("scenario", "spinodal")
@@ -183,34 +180,14 @@ def _build_scenario(cfg: RunConfig) -> Scenario:
     )
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    base = SolverConfig()
+def _section_config(cfg: RunConfig, section: str, cls):
+    """Build ``cls`` from the keys ``<section>.<field>``; unset keys keep the defaults."""
+    base = cls()
+    values = {
+        f.name: cfg.get(f"{section}.{f.name}", getattr(base, f.name)) for f in fields(cls)
+    }
     try:
-        return SolverConfig(
-            theta1=cfg.get("solver.theta1", base.theta1),
-            theta2=cfg.get("solver.theta2", base.theta2),
-            tol_res=cfg.get("solver.tol_res", base.tol_res),
-            max_iter=cfg.get("solver.max_iter", base.max_iter),
-            ls_tol=cfg.get("solver.ls_tol", base.ls_tol),
-            ls_max=cfg.get("solver.ls_max", base.ls_max),
-            ls_margin=cfg.get("solver.ls_margin", base.ls_margin),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _adaptive_config(cfg: RunConfig) -> AdaptiveConfig:
-    base = AdaptiveConfig()
-    try:
-        return AdaptiveConfig(
-            dt_max=cfg.get("adaptive.dt_max", base.dt_max),
-            dt_min=cfg.get("adaptive.dt_min", base.dt_min),
-            rate_hi=cfg.get("adaptive.rate_hi", base.rate_hi),
-            rate_lo=cfg.get("adaptive.rate_lo", base.rate_lo),
-            grow=cfg.get("adaptive.grow", base.grow),
-            shrink=cfg.get("adaptive.shrink", base.shrink),
-            dt_init=cfg.get("adaptive.dt_init", base.dt_init),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -229,20 +206,12 @@ def _resolved_config_text(cfg: RunConfig, scn: Scenario, solver: SolverConfig,
     resolved.values.setdefault("phys.eta", scn.phys.eta)
     resolved.values.setdefault("phys.lam", scn.phys.lam)
     resolved.values.setdefault("phys.p", scn.phys.p)
+    for section, obj in (("solver", solver), ("adaptive", adaptive)):
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if val is not None:
+                resolved.values.setdefault(f"{section}.{f.name}", val)
     for key, val in (
-        ("solver.theta1", solver.theta1),
-        ("solver.theta2", solver.theta2),
-        ("solver.tol_res", solver.tol_res),
-        ("solver.max_iter", solver.max_iter),
-        ("solver.ls_tol", solver.ls_tol),
-        ("solver.ls_max", solver.ls_max),
-        ("solver.ls_margin", solver.ls_margin),
-        ("adaptive.dt_max", adaptive.dt_max),
-        ("adaptive.dt_min", adaptive.dt_min),
-        ("adaptive.rate_hi", adaptive.rate_hi),
-        ("adaptive.rate_lo", adaptive.rate_lo),
-        ("adaptive.grow", adaptive.grow),
-        ("adaptive.shrink", adaptive.shrink),
         ("run.t_end", scn.t_end),
         ("run.seed", scn.seed),
         ("run.ell", scn.ell),
@@ -255,8 +224,8 @@ def _resolved_config_text(cfg: RunConfig, scn: Scenario, solver: SolverConfig,
 def cmd_run(cfg: RunConfig, outdir: str | Path) -> int:
     """Run one scenario, writing diagnostics, snapshots and a manifest."""
     scn = _build_scenario(cfg)
-    solver = _solver_config(cfg)
-    adaptive = _adaptive_config(cfg)
+    solver = _section_config(cfg, "solver", SolverConfig)
+    adaptive = _section_config(cfg, "adaptive", AdaptiveConfig)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -343,7 +312,7 @@ def cmd_convergence(cfg: RunConfig, outdir: str | Path) -> int:
         lam=cfg.get("phys.lam", base.phys.lam),
         p=cfg.get("phys.p", base.phys.p),
     )
-    solver = _solver_config(cfg)
+    solver = _section_config(cfg, "solver", SolverConfig)
     n_list = cfg.get("convergence.n_list", (16, 32, 64, 128))
     coupling = cfg.get("convergence.coupling", "dt16h2")
     if coupling not in ("dt16h2", "dth"):
@@ -455,7 +424,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverDivergedError, StabilityViolationError) as exc:
+    except (
+        SolverDivergedError,
+        LineSearchError,
+        PotentialDomainError,
+        StabilityViolationError,
+    ) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, SnapshotFormatError) as exc:

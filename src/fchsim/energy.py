@@ -91,32 +91,6 @@ def avg_grad_sq(phi: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def energy_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
-    require_admissible(phi, "energy argument")
-    lap = laplacian(phi, grid)
-    b = beta(phi)
-    b1 = beta_prime(phi)
-    quad = 0.5 * (pp.lam**2 + pp.lam * pp.eps_p_eta)
-    return (
-        0.5 * pp.eps**4 * inner(lap, lap, grid)
-        + 0.5 * inner(b, b, grid)
-        + quad * inner(phi, phi, grid)
-        + pp.eps**2 * inner(b1, avg_grad_sq(phi, grid), grid)
-    )
-
-
-def energy_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
-    require_admissible(phi, "energy argument")
-    B, _, _ = mixing_family(phi, pp)
-    b = beta(phi)
-    grad_coeff = 0.5 * pp.eps**2 * pp.eps_p_eta + pp.lam * pp.eps**2
-    return (
-        grad_coeff * grad_norm_sq(phi, grid)
-        + pp.lam * inner(phi, b, grid)
-        + pp.eps_p_eta * inner(B, np.ones_like(B), grid)
-    )
-
-
 def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown:
     """Full energy with its split and the CH / Willmore diagnostics."""
     require_admissible(phi, "energy argument")
@@ -149,6 +123,16 @@ def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown
         cahn_hilliard=e_ch,
         willmore=total + pp.eps_p_eta * e_ch,
     )
+
+
+def energy_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
+    """Convex part E_c of the split; see :func:`energy_total`."""
+    return energy_total(phi, grid, pp).convex
+
+
+def energy_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
+    """Concave part E_e of the split; see :func:`energy_total`."""
+    return energy_total(phi, grid, pp).concave
 
 
 def var_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:

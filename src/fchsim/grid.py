@@ -293,10 +293,6 @@ class SpectralWorkspace:
         shape = self.grid.shape
         return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
 
-    def solve_symbol(self, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        """Solve ``Op u = f`` where Op has the given positive Fourier symbol."""
-        return self.inverse(self.forward(f) / symbol)
-
 
 def inv_neg_laplacian(f: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Mean-zero solution psi of -laplacian(psi) = f for mean-zero f.

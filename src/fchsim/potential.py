@@ -31,7 +31,6 @@ __all__ = [
     "beta",
     "beta_prime",
     "beta_second",
-    "beta_third",
     "beta_family",
     "mixing_family",
     "admissible",
@@ -91,12 +90,6 @@ def beta_prime(r):
 def beta_second(r):
     _check_interior(r)
     return 4.0 * r / np.square(1.0 - np.square(r))
-
-
-def beta_third(r):
-    _check_interior(r)
-    one_minus = 1.0 - np.square(r)
-    return 4.0 * (1.0 + 3.0 * np.square(r)) / (one_minus**3)
 
 
 def beta_family(r):

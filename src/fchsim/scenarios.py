@@ -29,7 +29,7 @@ trigonometric interpolant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "init_meandering",
     "init_spinodal",
     "manufactured_state",
-    "manufactured_time_derivative",
     "manufactured_forcing",
     "preset",
     "PRESET_NAMES",
@@ -153,12 +152,6 @@ def manufactured_state(grid: Grid, t: float) -> np.ndarray:
     _require_unit_square(grid, "manufactured solution")
     x, y = grid.mesh()
     return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.cos(t) / np.pi)
-
-
-def manufactured_time_derivative(grid: Grid, t: float) -> np.ndarray:
-    _require_unit_square(grid, "manufactured solution")
-    x, y = grid.mesh()
-    return -np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.sin(t) / np.pi)
 
 
 def _fourier_laplacian(values: np.ndarray, lengths: tuple[float, ...]) -> np.ndarray:
@@ -311,7 +304,3 @@ def preset(
 
 
 PRESET_NAMES = frozenset({"pearling", "meandering", "spinodal", "convergence"})
-
-
-def with_overrides(scn: Scenario, **kwargs) -> Scenario:
-    return replace(scn, **kwargs)

@@ -34,14 +34,6 @@ import numpy as np
 from .grid import Grid, SpectralWorkspace, cell_avg, face_avg, face_diff, laplacian
 from .energy import nonlinear_map, rhs_explicit
 from .potential import PhysParams, PotentialDomainError, require_admissible
-from ._kernels import (
-    HAVE_NUMBA,
-    fast_residual,
-    lap2d,
-    line_g_2d,
-    line_setup_2d,
-    step_cap_2d,
-)
 
 __all__ = [
     "SolverConfig",
@@ -146,8 +138,6 @@ def admissible_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> f
     """Largest alpha keeping ||phi + alpha d||_inf <= 1 - margin_frac*(1 - ||phi||_inf)."""
     sup = float(np.max(np.abs(phi)))
     bound = 1.0 - margin_frac * (1.0 - sup)
-    if HAVE_NUMBA and phi.ndim == 2:
-        return float(step_cap_2d(phi, d, bound))
     cap = np.inf
     pos = d > 0
     if np.any(pos):
@@ -182,59 +172,39 @@ class LineObjective:
         self.pp = pp
         vol = grid.cell_volume
         c_quad = pp.lam * (pp.lam + pp.eps_p_eta)
-        self._use_kernel = HAVE_NUMBA and grid.ndim == 2
-
-        if self._use_kernel:
-            hx, hy = grid.spacing
-            lap_phi = np.empty_like(phi)
-            lap_d = np.empty_like(d)
-            lap2d(phi, hx * hx, hy * hy, lap_phi)
-            lap2d(d, hx * hx, hy * hy, lap_d)
-            buffers = [np.empty_like(phi) for _ in range(7)]
-            lin0_nf, lin1, s_fd = line_setup_2d(
-                phi, d, f_rhs, lap_phi, lap_d, dt, pp.eps**4, c_quad, hx, hy, vol,
-                *buffers,
-            )
-            self._lin0 = lin0_nf - vol * s_fd
-            self._lin1 = lin1
-            self.lap_d = lap_d
-            self._gsq_0, self._gsq_1, self._gsq_2 = buffers[0:3]
-            self._face_p = [buffers[3], buffers[5]]
-            self._face_q = [buffers[4], buffers[6]]
-        else:
-            lap_d = laplacian(d, grid)
-            lap_phi = laplacian(phi, grid)
-            bilap_phi = laplacian(lap_phi, grid)
-            bilap_d = laplacian(lap_d, grid)
-            # <N(phi_a), d> linear-in-alpha pieces: phi_a/dt and the linear
-            # part of var_convex hit with the Laplacian moved onto d.
-            self._lin0 = vol * (
-                float(np.sum(phi * d)) / dt
-                - pp.eps**4 * float(np.sum(bilap_phi * lap_d))
-                - c_quad * float(np.sum(phi * lap_d))
-            ) - vol * float(np.sum(f_rhs * d))
-            self._lin1 = vol * (
-                float(np.sum(d * d)) / dt
-                - pp.eps**4 * float(np.sum(bilap_d * lap_d))
-                - c_quad * float(np.sum(d * lap_d))
-            )
-            self.lap_d = lap_d
-            # Face data for the nonlinear gradient terms: D phi, D d, and the
-            # products with D(lap d) the per-axis face inner products need.
-            dphi_faces = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-            dd_faces = [face_diff(d, grid, a) for a in range(grid.ndim)]
-            dlap_faces = [face_diff(lap_d, grid, a) for a in range(grid.ndim)]
-            self._face_p = [dphi_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
-            self._face_q = [dd_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
-            # avg(|D phi_a|^2) = A + 2 alpha B + alpha^2 C, summed over axes.
-            A = np.zeros_like(phi)
-            B = np.zeros_like(phi)
-            C = np.zeros_like(phi)
-            for a in range(grid.ndim):
-                A += cell_avg(dphi_faces[a] ** 2, grid, a)
-                B += cell_avg(dphi_faces[a] * dd_faces[a], grid, a)
-                C += cell_avg(dd_faces[a] ** 2, grid, a)
-            self._gsq_0, self._gsq_1, self._gsq_2 = A, B, C
+        lap_d = laplacian(d, grid)
+        lap_phi = laplacian(phi, grid)
+        bilap_phi = laplacian(lap_phi, grid)
+        bilap_d = laplacian(lap_d, grid)
+        # <N(phi_a), d> linear-in-alpha pieces: phi_a/dt and the linear
+        # part of var_convex hit with the Laplacian moved onto d.
+        self._lin0 = vol * (
+            float(np.sum(phi * d)) / dt
+            - pp.eps**4 * float(np.sum(bilap_phi * lap_d))
+            - c_quad * float(np.sum(phi * lap_d))
+        ) - vol * float(np.sum(f_rhs * d))
+        self._lin1 = vol * (
+            float(np.sum(d * d)) / dt
+            - pp.eps**4 * float(np.sum(bilap_d * lap_d))
+            - c_quad * float(np.sum(d * lap_d))
+        )
+        self.lap_d = lap_d
+        # Face data for the nonlinear gradient terms: D phi, D d, and the
+        # products with D(lap d) the per-axis face inner products need.
+        dphi_faces = [face_diff(phi, grid, a) for a in range(grid.ndim)]
+        dd_faces = [face_diff(d, grid, a) for a in range(grid.ndim)]
+        dlap_faces = [face_diff(lap_d, grid, a) for a in range(grid.ndim)]
+        self._face_p = [dphi_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
+        self._face_q = [dd_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
+        # avg(|D phi_a|^2) = A + 2 alpha B + alpha^2 C, summed over axes.
+        A = np.zeros_like(phi)
+        B = np.zeros_like(phi)
+        C = np.zeros_like(phi)
+        for a in range(grid.ndim):
+            A += cell_avg(dphi_faces[a] ** 2, grid, a)
+            B += cell_avg(dphi_faces[a] * dd_faces[a], grid, a)
+            C += cell_avg(dd_faces[a] ** 2, grid, a)
+        self._gsq_0, self._gsq_1, self._gsq_2 = A, B, C
         self._vol = vol
         self.evals = 0
 
@@ -242,28 +212,6 @@ class LineObjective:
         pp = self.pp
         grid = self.grid
         self.evals += 1
-        if self._use_kernel:
-            point, face = line_g_2d(
-                self.phi,
-                self.d,
-                self.lap_d,
-                self._gsq_0,
-                self._gsq_1,
-                self._gsq_2,
-                self._face_p[0],
-                self._face_q[0],
-                self._face_p[1],
-                self._face_q[1],
-                alpha,
-                pp.eps**2,
-                self._vol,
-            )
-            if np.isnan(point):
-                raise PotentialDomainError(
-                    f"line-search trial alpha = {alpha!r} left the phase domain"
-                )
-            return self._lin0 + alpha * self._lin1 + point + face
-
         phi_a = self.phi + alpha * self.d
         one_minus = 1.0 - phi_a * phi_a
         if np.min(one_minus) <= 0.0:
@@ -428,15 +376,10 @@ def psd_solve(
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
     ls_evals_total = 0
-    use_kernel = HAVE_NUMBA and grid.ndim == 2
-    work = tuple(np.empty_like(phi) for _ in range(4)) if use_kernel else None
     alpha_prev: float | None = None
     for it in range(cfg.max_iter + 1):
-        if use_kernel:
-            r, res = fast_residual(phi, f, dt, grid, pp, work)
-        else:
-            r = f - nonlinear_map(phi, dt, grid, pp)
-            res = float(np.sqrt(vol * np.sum(r * r)))
+        r = f - nonlinear_map(phi, dt, grid, pp)
+        res = float(np.sqrt(vol * np.sum(r * r)))
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
             return phi, SolveReport(it, res, ls_evals_total, margin)

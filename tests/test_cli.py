@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from fchsim.cli import ConfigError, RunConfig, cmd_convergence, cmd_inspect, cmd_run, main
+from fchsim.cli import _SCHEMA, ConfigError, RunConfig, cmd_convergence, cmd_inspect, cmd_run, main
+from fchsim.dynamics import AdaptiveConfig
+from fchsim.solver import SolverConfig
 from fchsim.grid import Grid
 from fchsim.output import (
     DIAGNOSTICS_COLUMNS,
@@ -45,6 +49,11 @@ class TestRunConfig:
     def test_malformed_line(self):
         with pytest.raises(ConfigError):
             RunConfig.parse("scenario pearling\n")
+
+    @pytest.mark.parametrize("section, cls", [("solver", SolverConfig), ("adaptive", AdaptiveConfig)])
+    def test_schema_lists_every_config_field(self, section, cls):
+        keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith(section + ".")}
+        assert keys == {f.name for f in fields(cls)}
 
 
 class TestSnapshots:
@@ -215,6 +224,19 @@ class TestMainExitCodes:
             "--out", str(tmp_path / "out"),
         ]
         assert main(args) == 3
+
+    def test_line_search_failure_exit_code(self, tmp_path, capsys):
+        args = [
+            "run",
+            "--set", "scenario=pearling",
+            "--set", "grid.nx=32",
+            "--set", "run.t_end=2e-6",
+            "--set", "solver.ls_max=1",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
 
     def test_seed_flag_applies(self, tmp_path):
         out = tmp_path / "out"

@@ -27,8 +27,7 @@ PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 CFG = SolverConfig()
 
 
-def make_instance(n, seed, dt=0.02, offset=0.0):
-    g = Grid.square(n)
+def make_instance(g, seed, dt=0.02, offset=0.0):
     ws = SpectralWorkspace(g)
     rng = np.random.default_rng(seed)
     phi = smooth_admissible_field(g, rng, amplitude=0.55) + offset
@@ -104,13 +103,13 @@ class TestPreconditioner:
 
 class TestLineSearch:
     def test_zero_direction(self):
-        g, ws, phi, rng, dt = make_instance(8, 33)
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 33)
         f = rhs_explicit(phi, dt, g, PP)
         alpha, evals = line_minimize(phi, g.zeros(), f, dt, g, PP, CFG)
         assert alpha == 0.0 and evals == 0
 
     def test_solved_state_gives_zero(self):
-        g, ws, phi, rng, dt = make_instance(8, 34)
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 34)
         phi_new, _ = psd_solve(phi, dt, g, PP, CFG, ws)
         f = rhs_explicit(phi, dt, g, PP)
         r = f - nonlinear_map(phi_new, dt, g, PP)
@@ -119,8 +118,13 @@ class TestLineSearch:
         # at the solution the best step is numerically negligible
         assert abs(alpha) * np.max(np.abs(d)) <= 1e-10
 
-    def test_fast_objective_matches_naive(self):
-        g, ws, phi, rng, dt = make_instance(8, 35)
+    @pytest.mark.parametrize(
+        "g",
+        [Grid.square(8), Grid.line(16), Grid((6, 8), (2.0, 1.0)), Grid.square(9)],
+        ids=["square8", "line16", "rect6x8", "square9"],
+    )
+    def test_fast_objective_matches_naive(self, g):
+        g, ws, phi, rng, dt = make_instance(g, 35)
         f = rhs_explicit(phi, dt, g, PP)
         r = f - nonlinear_map(phi, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
@@ -131,7 +135,7 @@ class TestLineSearch:
             assert obj(alpha) == pytest.approx(naive, rel=1e-12, abs=1e-9)
 
     def test_step_cap_keeps_margin(self):
-        g, ws, phi, rng, dt = make_instance(8, 36)
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 36)
         d = rng.standard_normal(g.shape)
         cap = admissible_step_cap(phi, d, 1e-4)
         sup0 = np.max(np.abs(phi))
@@ -141,7 +145,7 @@ class TestLineSearch:
 
     def test_matches_scan_oracle(self):
         # root position against a brute scan of the naive g plus bisection
-        g, ws, phi, rng, dt = make_instance(8, 37)
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 37)
         f = rhs_explicit(phi, dt, g, PP)
         r = f - nonlinear_map(phi, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
@@ -218,19 +222,19 @@ class TestPsdSolve:
 
     def test_matches_newton_oracle(self):
         for seed in (41, 42, 43):
-            g, ws, phi, rng, dt = make_instance(8, seed)
+            g, ws, phi, rng, dt = make_instance(Grid.square(8), seed)
             phi_psd, report = psd_solve(phi, dt, g, PP, CFG, ws)
             f = rhs_explicit(phi, dt, g, PP)
             phi_newton = newton_solve(phi, f, dt, g, PP)
             assert norm(phi_psd - phi_newton, g, "l2") <= 1e-8
 
     def test_mean_preserved(self):
-        g, ws, phi, rng, dt = make_instance(16, 44, offset=0.1)
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 44, offset=0.1)
         phi1, _ = psd_solve(phi, dt, g, PP, CFG, ws)
         assert abs(phi1.mean() - phi.mean()) <= 1e-13 * max(1.0, abs(phi.mean()))
 
     def test_energy_decay_and_admissibility(self):
-        g, ws, phi, rng, dt = make_instance(16, 45)
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 45)
         e0 = energy_total(phi, g, PP).total
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
         e1 = energy_total(phi1, g, PP).total
@@ -239,7 +243,7 @@ class TestPsdSolve:
         assert np.max(np.abs(phi1)) < 1.0
 
     def test_residual_below_tolerance(self):
-        g, ws, phi, rng, dt = make_instance(16, 46)
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 46)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
         f = rhs_explicit(phi, dt, g, PP)
         res = norm(nonlinear_map(phi1, dt, g, PP) - f, g, "l2")
@@ -250,7 +254,7 @@ class TestPsdSolve:
         # the solved step satisfies (phi1 - phi0)/dt = lap mu to the tolerance
         from fchsim.energy import chemical_potential
 
-        g, ws, phi, rng, dt = make_instance(16, 47)
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 47)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
         mu = chemical_potential(phi1, phi, g, PP)
         res = norm((phi1 - phi) / dt - laplacian(mu, g), g, "l2")
@@ -259,7 +263,7 @@ class TestPsdSolve:
 
     def test_objective_decreases_across_iterations(self):
         # J(phi) = ||phi - phi_n||_{-1}^2 / (2 dt) + E_c(phi) + <f_lin, phi>
-        g, ws, phi_n, rng, dt = make_instance(12, 48)
+        g, ws, phi_n, rng, dt = make_instance(Grid.square(12), 48)
         f = rhs_explicit(phi_n, dt, g, PP)
         f_lin = -var_concave(phi_n, g, PP)
 
@@ -286,7 +290,7 @@ class TestPsdSolve:
 
     def test_g_nondecreasing_on_admissible_interval(self):
         for seed in (51, 52, 53):
-            g, ws, phi, rng, dt = make_instance(10, seed)
+            g, ws, phi, rng, dt = make_instance(Grid.square(10), seed)
             f = rhs_explicit(phi, dt, g, PP)
             r = f - nonlinear_map(phi, dt, g, PP)
             d = precond_solve(r, dt, PP, CFG, ws)
@@ -297,7 +301,7 @@ class TestPsdSolve:
                 assert b >= a - 1e-9 * max(1.0, abs(a))
 
     def test_nonconvergence_error(self):
-        g, ws, phi, rng, dt = make_instance(12, 54)
+        g, ws, phi, rng, dt = make_instance(Grid.square(12), 54)
         tight = SolverConfig(max_iter=1, tol_res=1e-14)
         with pytest.raises(SolverDivergedError) as info:
             psd_solve(phi, dt, g, PP, tight, ws)
@@ -313,7 +317,6 @@ class TestPsdSolve:
             psd_solve(g.full(1.0), 0.01, g, PP, CFG, ws)
 
     def test_one_dimensional_solve(self):
-        # exercises the pure-numpy reference path (kernels are 2D only)
         g = Grid.line(16)
         ws = SpectralWorkspace(g)
         x = g.axes()[0]
