@@ -5,6 +5,12 @@ Configuration is flat ``key = value`` text with dotted section prefixes
 entry, unknown keys are rejected, and unset keys fall back to the scenario
 preset.  ``--set key=value`` applies the same syntax on top of the file.
 
+Each command resolves its configuration once: a copy with every unset key
+filled from the scenario preset and the solver/adaptive defaults.  The run
+is built from that resolved configuration, and ``manifest.txt`` records it
+with ``run.out`` set to the directory written, so ``--config manifest.txt``
+reproduces the run.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
 
@@ -145,87 +151,61 @@ class RunConfig:
         return cfg
 
 
-def _build_scenario(cfg: RunConfig) -> Scenario:
-    name = cfg.get("scenario", "spinodal")
+def _resolve(cfg: RunConfig, default_scenario: str = "spinodal") -> RunConfig:
+    """Copy of ``cfg`` with every unset run key filled in.
+
+    Scenario keys (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from
+    the scenario preset, ``solver.*`` and ``adaptive.*`` from the config
+    defaults; keys whose default is None stay unset.  The run is built from
+    the result, and the result is the run's manifest.
+    """
+    name = cfg.get("scenario", default_scenario)
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
     try:
-        scn = preset(
-            name,
-            n=cfg.get("grid.nx"),
-            seed=cfg.get("run.seed", 0),
-            ell=cfg.get("run.ell", 0.35),
-            t_end=cfg.get("run.t_end"),
-        )
+        scn = preset(name, n=cfg.get("grid.nx"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    grid = scn.grid
-    nx = cfg.get("grid.nx", grid.shape[0])
-    ny = cfg.get("grid.ny", grid.shape[1] if grid.ndim == 2 else grid.shape[0])
-    lx = cfg.get("grid.lx", grid.lengths[0])
-    ly = cfg.get("grid.ly", grid.lengths[1] if grid.ndim == 2 else grid.lengths[0])
-    try:
-        grid = Grid((nx, ny), (lx, ly))
-        phys = PhysParams(
-            eps=cfg.get("phys.eps", scn.phys.eps),
-            eta=cfg.get("phys.eta", scn.phys.eta),
-            lam=cfg.get("phys.lam", scn.phys.lam),
-            p=cfg.get("phys.p", scn.phys.p),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return Scenario(
-        name, grid, phys, t_end=scn.t_end, seed=scn.seed, ell=scn.ell
-    )
+    (nx, ny), (lx, ly) = scn.grid.shape, scn.grid.lengths
+    defaults = {
+        "scenario": name,
+        "grid.nx": nx,
+        "grid.ny": ny,
+        "grid.lx": lx,
+        "grid.ly": ly,
+        "run.t_end": scn.t_end,
+        "run.seed": scn.seed,
+        "run.ell": scn.ell,
+    }
+    for section, obj in (("phys", scn.phys), ("solver", SolverConfig()),
+                         ("adaptive", AdaptiveConfig())):
+        defaults.update((f"{section}.{f.name}", getattr(obj, f.name)) for f in fields(obj))
+    resolved = RunConfig({k: v for k, v in defaults.items() if v is not None})
+    resolved.values.update(cfg.values)
+    return resolved
 
 
 def _section_config(cfg: RunConfig, section: str, cls):
-    """Build ``cls`` from the keys ``<section>.<field>``; unset keys keep the defaults."""
-    base = cls()
-    values = {
-        f.name: cfg.get(f"{section}.{f.name}", getattr(base, f.name)) for f in fields(cls)
-    }
+    """Build ``cls`` from the keys ``<section>.<field>`` of a resolved config."""
     try:
-        return cls(**values)
+        return cls(**{f.name: cfg.get(f"{section}.{f.name}") for f in fields(cls)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _resolved_config_text(cfg: RunConfig, scn: Scenario, solver: SolverConfig,
-                          adaptive: AdaptiveConfig, outdir: Path) -> str:
-    resolved = RunConfig()
-    resolved.values.update(cfg.values)
-    resolved.values.setdefault("scenario", scn.name)
-    resolved.values.setdefault("grid.nx", scn.grid.shape[0])
-    if scn.grid.ndim == 2:
-        resolved.values.setdefault("grid.ny", scn.grid.shape[1])
-        resolved.values.setdefault("grid.ly", scn.grid.lengths[1])
-    resolved.values.setdefault("grid.lx", scn.grid.lengths[0])
-    resolved.values.setdefault("phys.eps", scn.phys.eps)
-    resolved.values.setdefault("phys.eta", scn.phys.eta)
-    resolved.values.setdefault("phys.lam", scn.phys.lam)
-    resolved.values.setdefault("phys.p", scn.phys.p)
-    for section, obj in (("solver", solver), ("adaptive", adaptive)):
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if val is not None:
-                resolved.values.setdefault(f"{section}.{f.name}", val)
-    for key, val in (
-        ("run.t_end", scn.t_end),
-        ("run.seed", scn.seed),
-        ("run.ell", scn.ell),
-        ("run.out", str(outdir)),
-    ):
-        resolved.values.setdefault(key, val)
-    return resolved.emit()
 
 
 def cmd_run(cfg: RunConfig, outdir: str | Path) -> int:
     """Run one scenario, writing diagnostics, snapshots and a manifest."""
-    scn = _build_scenario(cfg)
-    solver = _section_config(cfg, "solver", SolverConfig)
-    adaptive = _section_config(cfg, "adaptive", AdaptiveConfig)
+    resolved = _resolve(cfg)
+    get = resolved.get
+    try:
+        grid = Grid((get("grid.nx"), get("grid.ny")), (get("grid.lx"), get("grid.ly")))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    phys = _section_config(resolved, "phys", PhysParams)
+    scn = Scenario(get("scenario"), grid, phys, t_end=get("run.t_end"),
+                   seed=get("run.seed"), ell=get("run.ell"))
+    solver = _section_config(resolved, "solver", SolverConfig)
+    adaptive = _section_config(resolved, "adaptive", AdaptiveConfig)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -233,16 +213,12 @@ def cmd_run(cfg: RunConfig, outdir: str | Path) -> int:
     phi = scn.initial_condition()
     ws = SpectralWorkspace(scn.grid)
 
-    write_manifest(
-        outdir / "manifest.txt",
-        _resolved_config_text(cfg, scn, solver, adaptive, outdir),
-        seed=scn.seed,
-        rng_name=RNG_NAME,
-    )
+    resolved.values["run.out"] = str(outdir)
+    write_manifest(outdir / "manifest.txt", resolved.emit(), seed=scn.seed, rng_name=RNG_NAME)
 
-    snap_steps = cfg.get("run.snap_every_steps", 0)
-    snap_time = cfg.get("run.snap_every_time", 0.0)
-    text_export = cfg.get("run.text_snapshots", False)
+    snap_steps = get("run.snap_every_steps", 0)
+    snap_time = get("run.snap_every_time", 0.0)
+    text_export = get("run.text_snapshots", False)
 
     def save(phi_now, *, time, step_index):
         path = outdir / f"field_{step_index:08d}.snap"
@@ -302,17 +278,11 @@ def _convergence_error(n: int, coupling: str, t_final: float, phys: PhysParams,
 
 def cmd_convergence(cfg: RunConfig, outdir: str | Path) -> int:
     """Grid refinement study against the manufactured solution."""
-    scn_name = cfg.get("scenario", "convergence")
-    if scn_name != "convergence":
+    if cfg.get("scenario", "convergence") != "convergence":
         raise ConfigError("the convergence command requires scenario = convergence")
-    base = preset("convergence")
-    phys = PhysParams(
-        eps=cfg.get("phys.eps", base.phys.eps),
-        eta=cfg.get("phys.eta", base.phys.eta),
-        lam=cfg.get("phys.lam", base.phys.lam),
-        p=cfg.get("phys.p", base.phys.p),
-    )
-    solver = _section_config(cfg, "solver", SolverConfig)
+    resolved = _resolve(cfg, "convergence")
+    phys = _section_config(resolved, "phys", PhysParams)
+    solver = _section_config(resolved, "solver", SolverConfig)
     n_list = cfg.get("convergence.n_list", (16, 32, 64, 128))
     coupling = cfg.get("convergence.coupling", "dt16h2")
     if coupling not in ("dt16h2", "dth"):

@@ -23,6 +23,11 @@ its change exceeds the bound: an unprepared state sheds its excess energy in
 a single implicit step no matter how small dt is (the scheme jumps to the
 local quasi-equilibrium), so rejecting at the floor would deadlock every
 experiment whose initial data is not already a discrete equilibrium.
+
+A solve that fails (:class:`SolverDivergedError`, :class:`LineSearchError`
+or :class:`PotentialDomainError`) is a rejected attempt too: it is redone at
+the shrunk dt, and the error propagates only from an attempt at ``dt_min``.
+A :class:`StabilityViolationError` always propagates.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import numpy as np
 
 from .grid import Grid, SpectralWorkspace, grad_norm_sq, norm
 from .energy import chemical_potential, energy_total
-from .potential import PhysParams
-from .solver import SolverConfig, psd_solve
+from .potential import PhysParams, PotentialDomainError
+from .solver import LineSearchError, SolverConfig, SolverDivergedError, psd_solve
 
 __all__ = [
     "AdaptiveConfig",
@@ -260,19 +265,25 @@ def advance_adaptive(
         if phi_prev is not None and dt_prev > 0.0:
             phi_init = phi + (dt_step / dt_prev) * (phi - phi_prev)
 
-        phi_new, rec = step(
-            phi,
-            dt_step,
-            grid,
-            pp,
-            cfg,
-            ws,
-            t=t,
-            index=index + 1,
-            prev_total=prev_total,
-            mass_ref=mass_ref,
-            phi_init=phi_init,
-        )
+        try:
+            phi_new, rec = step(
+                phi,
+                dt_step,
+                grid,
+                pp,
+                cfg,
+                ws,
+                t=t,
+                index=index + 1,
+                prev_total=prev_total,
+                mass_ref=mass_ref,
+                phi_init=phi_init,
+            )
+        except (SolverDivergedError, LineSearchError, PotentialDomainError):
+            if dt_step <= acfg.dt_min:
+                raise
+            dt = max(dt_step * acfg.shrink, acfg.dt_min)
+            continue
         r_energy = abs(rec.e_fch - prev_total)
         r_phase = norm(phi_new - phi, grid, "l2")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -111,21 +111,21 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, SnapshotMeta]:
         raise SnapshotFormatError(f"{path}: header is not ASCII") from exc
     if not tokens or tokens[0] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic, not a field snapshot")
-    fields = {}
+    tags = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise SnapshotFormatError(f"{path}: malformed header token {tok!r}")
         key, value = tok.split("=", 1)
-        fields[key] = value
+        tags[key] = value
     try:
-        shape = tuple(int(s) for s in fields["shape"].split(","))
-        lengths = tuple(float(s) for s in fields["lengths"].split(","))
+        shape = tuple(int(s) for s in tags["shape"].split(","))
+        lengths = tuple(float(s) for s in tags["lengths"].split(","))
         meta = SnapshotMeta(
             grid=Grid(shape, lengths),
-            time=float(fields["time"]),
-            step=int(fields["step"]),
-            seed=int(fields["seed"]),
-            params=fields.get("params", "none"),
+            time=float(tags["time"]),
+            step=int(tags["step"]),
+            seed=int(tags["seed"]),
+            params=tags.get("params", "none"),
         )
     except (KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed header: {exc}") from exc
@@ -155,21 +155,8 @@ class DiagnosticsWriter:
 
     def write(self, rec: DiagnosticsRecord) -> None:
         row = ",".join(
-            [
-                str(rec.step),
-                _fmt(rec.t),
-                _fmt(rec.dt),
-                _fmt(rec.e_fch),
-                _fmt(rec.e_ch),
-                _fmt(rec.e_pfw),
-                _fmt(rec.mass),
-                _fmt(rec.phi_min),
-                _fmt(rec.phi_max),
-                _fmt(rec.h2_norm),
-                _fmt(rec.grad_mu),
-                str(rec.psd_iters),
-                _fmt(rec.residual),
-            ]
+            str(v) if isinstance(v, int) else _fmt(v)
+            for v in (getattr(rec, f.name) for f in fields(rec))
         )
         self._fh.write(row + "\n")
         self._fh.flush()

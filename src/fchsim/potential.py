@@ -66,35 +66,24 @@ class PhysParams:
         return self.eps**self.p * self.eta
 
 
-def _check_interior(r) -> None:
-    r = np.asarray(r)
-    if not np.all(np.isfinite(r)):
-        raise PotentialDomainError("phase values must be finite")
-    worst = float(np.max(np.abs(r))) if r.size else 0.0
-    if worst >= 1.0:
-        raise PotentialDomainError(
-            f"phase value with |r| = {worst!r} >= 1 hit the logarithmic singularity"
-        )
-
-
 def beta(r):
-    _check_interior(r)
+    require_admissible(r, "phase value")
     return np.log1p(r) - np.log1p(-r)
 
 
 def beta_prime(r):
-    _check_interior(r)
+    require_admissible(r, "phase value")
     return 2.0 / (1.0 - np.square(r))
 
 
 def beta_second(r):
-    _check_interior(r)
+    require_admissible(r, "phase value")
     return 4.0 * r / np.square(1.0 - np.square(r))
 
 
 def beta_family(r):
     """beta and its first three derivatives at r, as a tuple."""
-    _check_interior(r)
+    require_admissible(r, "phase value")
     r = np.asarray(r, dtype=float)
     one_minus = 1.0 - np.square(r)
     b = np.log1p(r) - np.log1p(-r)
@@ -110,7 +99,7 @@ def mixing_family(r, pp: PhysParams):
     B is the convex logarithmic part, F = B - lam r^2 / 2 the full density,
     f = F' its derivative.
     """
-    _check_interior(r)
+    require_admissible(r, "phase value")
     r = np.asarray(r, dtype=float)
     B = (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r)
     F = B - 0.5 * pp.lam * np.square(r)

@@ -251,6 +251,26 @@ def manufactured_forcing(
     return s - np.mean(s)
 
 
+def _meandering_grid(cells: int) -> Grid:
+    if cells % 2:
+        raise ValueError("meandering preset needs an even x cell count")
+    return Grid((cells, cells // 2), (30.0, 15.0))
+
+
+_LAM_STAR = well_depth(0.9)
+
+# name -> (default x cell count, grid from the cell count, physics, horizon)
+_PRESETS = {
+    "pearling": (256, Grid.square, PhysParams(eps=0.03, eta=4.0, lam=_LAM_STAR, p=1), 10.0),
+    "meandering": (
+        1024, _meandering_grid, PhysParams(eps=0.01, eta=10.0, lam=_LAM_STAR, p=1), 100.0
+    ),
+    "spinodal": (256, Grid.square, PhysParams(eps=0.008, eta=8.0, lam=_LAM_STAR, p=1), 1.0),
+    "convergence": (128, Grid.square, PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2), 0.32),
+}
+PRESET_NAMES = frozenset(_PRESETS)
+
+
 def preset(
     name: str,
     n: Optional[int] = None,
@@ -259,48 +279,14 @@ def preset(
     t_end: Optional[float] = None,
 ) -> Scenario:
     """Build one of the named experiments with its published parameter set."""
-    lam_star = well_depth(0.9)
-    if name == "pearling":
-        grid = Grid.square(n if n is not None else 256)
-        return Scenario(
-            name,
-            grid,
-            PhysParams(eps=0.03, eta=4.0, lam=lam_star, p=1),
-            t_end=t_end if t_end is not None else 10.0,
-            seed=seed,
-            ell=ell,
-        )
-    if name == "meandering":
-        cells = n if n is not None else 1024
-        if cells % 2:
-            raise ValueError("meandering preset needs an even x cell count")
-        grid = Grid((cells, cells // 2), (30.0, 15.0))
-        return Scenario(
-            name,
-            grid,
-            PhysParams(eps=0.01, eta=10.0, lam=lam_star, p=1),
-            t_end=t_end if t_end is not None else 100.0,
-            seed=seed,
-        )
-    if name == "spinodal":
-        grid = Grid.square(n if n is not None else 256)
-        return Scenario(
-            name,
-            grid,
-            PhysParams(eps=0.008, eta=8.0, lam=lam_star, p=1),
-            t_end=t_end if t_end is not None else 1.0,
-            seed=seed,
-        )
-    if name == "convergence":
-        grid = Grid.square(n if n is not None else 128)
-        return Scenario(
-            name,
-            grid,
-            PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2),
-            t_end=t_end if t_end is not None else 0.32,
-            seed=seed,
-        )
-    raise ValueError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
-
-
-PRESET_NAMES = frozenset({"pearling", "meandering", "spinodal", "convergence"})
+    if name not in _PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
+    cells, make_grid, phys, horizon = _PRESETS[name]
+    return Scenario(
+        name,
+        make_grid(cells if n is None else n),
+        phys,
+        t_end=horizon if t_end is None else t_end,
+        seed=seed,
+        ell=ell,
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from fchsim.cli import _SCHEMA, ConfigError, RunConfig, cmd_convergence, cmd_inspect, cmd_run, main
 from fchsim.dynamics import AdaptiveConfig
+from fchsim.potential import PhysParams
 from fchsim.solver import SolverConfig
 from fchsim.grid import Grid
 from fchsim.output import (
@@ -16,6 +17,39 @@ from fchsim.output import (
     write_snapshot,
 )
 from fchsim.dynamics import DiagnosticsRecord
+
+# Manifest of the pearling-cli-64 command without its version line and run.out.
+PEARLING_MANIFEST = """\
+# rng = numpy-pcg64
+# seed = 1
+
+adaptive.dt_max = 0.002
+adaptive.dt_min = 1e-08
+adaptive.grow = 2.0
+adaptive.rate_hi = 0.1
+adaptive.rate_lo = 0.001
+adaptive.shrink = 0.5
+grid.lx = 1.0
+grid.ly = 1.0
+grid.nx = 64
+grid.ny = 64
+phys.eps = 0.03
+phys.eta = 4.0
+phys.lam = 3.2715988657404895
+phys.p = 1
+run.ell = 0.35
+run.seed = 1
+run.snap_every_steps = 1
+run.t_end = 5e-06
+scenario = pearling
+solver.ls_margin = 0.0001
+solver.ls_max = 100
+solver.ls_tol = 1e-10
+solver.max_iter = 500
+solver.theta1 = 1.0
+solver.theta2 = 1.0
+solver.tol_res = 1e-09
+"""
 
 
 class TestRunConfig:
@@ -50,7 +84,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.parse("scenario pearling\n")
 
-    @pytest.mark.parametrize("section, cls", [("solver", SolverConfig), ("adaptive", AdaptiveConfig)])
+    @pytest.mark.parametrize(
+        "section, cls",
+        [("solver", SolverConfig), ("adaptive", AdaptiveConfig), ("phys", PhysParams)],
+    )
     def test_schema_lists_every_config_field(self, section, cls):
         keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith(section + ".")}
         assert keys == {f.name for f in fields(cls)}
@@ -115,6 +152,20 @@ class TestDiagnosticsWriter:
         assert fields[3] == "0.33333333333333331"  # 17 significant digits
         assert fields[11] == "5"
 
+    def test_row_follows_record_fields(self, tmp_path):
+        path = tmp_path / "d.csv"
+        names = [f.name for f in fields(DiagnosticsRecord)]
+        values = {
+            name: (i + 1 if name in ("step", "psd_iters") else (i + 1) / 7.0)
+            for i, name in enumerate(names)
+        }
+        with DiagnosticsWriter(path) as w:
+            w.write(DiagnosticsRecord(**values))
+        header, row = path.read_text().splitlines()
+        assert len(header.split(",")) == len(names)
+        cells = row.split(",")
+        assert [type(values[n])(c) for n, c in zip(names, cells)] == [values[n] for n in names]
+
 
 class TestCommands:
     def test_run_zero_horizon(self, tmp_path):
@@ -165,6 +216,38 @@ class TestCommands:
         b, _ = read_snapshot(final2)
         assert np.array_equal(a, b)
         assert (out1 / "diagnostics.csv").read_text() == (out2 / "diagnostics.csv").read_text()
+
+    def test_pearling_manifest_golden(self, tmp_path):
+        # the pearling-cli-64 benchmark command; every key the run resolved
+        out = tmp_path / "out"
+        assert main([
+            "run", "--set", "scenario=pearling", "--set", "grid.nx=64",
+            "--set", "grid.ny=64", "--set", "run.t_end=5e-06",
+            "--set", "run.snap_every_steps=1", "--seed", "1", "--out", str(out),
+        ]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[0].startswith("# fchsim ")
+        assert f"run.out = {out}" in lines
+        body = [ln for ln in lines[1:] if not ln.startswith("run.out = ")]
+        assert body == PEARLING_MANIFEST.splitlines()
+
+    def test_manifest_rebuilds_the_run(self, tmp_path):
+        cfg = RunConfig.parse(
+            "grid.nx = 16\nphys.eps = 0.1\nrun.ell = 0.5\nrun.t_end = 0\n"
+        )
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert cmd_run(cfg, first) == 0
+        assert cmd_run(RunConfig.parse((first / "manifest.txt").read_text()), second) == 0
+        first_lines, second_lines = (
+            (d / "manifest.txt").read_text().splitlines() for d in (first, second)
+        )
+        assert f"run.out = {second}" in second_lines
+        assert first_lines == [
+            f"run.out = {first}" if ln.startswith("run.out = ") else ln for ln in second_lines
+        ]
+        assert (first / "field_00000000.snap").read_bytes() == (
+            second / "field_00000000.snap"
+        ).read_bytes()
 
     def test_convergence_single_row(self, tmp_path, capsys):
         cfg = RunConfig.parse("scenario = convergence\nconvergence.n_list = 8\n")
@@ -232,11 +315,26 @@ class TestMainExitCodes:
             "--set", "grid.nx=32",
             "--set", "run.t_end=2e-6",
             "--set", "solver.ls_max=1",
+            "--set", "adaptive.dt_min=2e-6",
             "--out", str(tmp_path / "out"),
         ]
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: ") and err.count("\n") == 1
+
+    def test_line_search_failure_retried_at_smaller_dt(self, tmp_path):
+        out = tmp_path / "out"
+        args = [
+            "run",
+            "--set", "scenario=pearling",
+            "--set", "grid.nx=32",
+            "--set", "run.t_end=2e-6",
+            "--set", "solver.ls_max=1",
+            "--out", str(out),
+        ]
+        assert main(args) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 64
 
     def test_seed_flag_applies(self, tmp_path):
         out = tmp_path / "out"

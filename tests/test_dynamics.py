@@ -11,8 +11,14 @@ from fchsim.dynamics import (
 from fchsim.energy import energy_total
 from fchsim.grid import Grid, SpectralWorkspace, norm
 from fchsim.potential import PhysParams
-from fchsim.scenarios import init_spinodal, manufactured_forcing, manufactured_state, well_depth
-from fchsim.solver import SolverConfig
+from fchsim.scenarios import (
+    init_spinodal,
+    manufactured_forcing,
+    manufactured_state,
+    preset,
+    well_depth,
+)
+from fchsim.solver import LineSearchError, SolverConfig
 
 from oracles import smooth_admissible_field
 
@@ -205,6 +211,21 @@ class TestAdvanceAdaptive:
         records, _ = advance_adaptive(phi, 5e-3, g, pp, acfg, CFG, ws)
         assert records
         assert all(r.dt == pytest.approx(1e-3) for r in records)
+
+    def test_solver_failure_is_retried_at_smaller_dt(self):
+        # a one-evaluation line search fails on the pearling ring at dt_max;
+        # the attempt is redone at a shrunk dt instead of ending the run
+        scn = preset("pearling", n=16)
+        ws = SpectralWorkspace(scn.grid)
+        phi = scn.initial_condition()
+        cfg = SolverConfig(ls_max=1)
+        acfg = AdaptiveConfig(dt_max=2e-6)
+        records, _ = advance_adaptive(phi, 2e-6, scn.grid, scn.phys, acfg, cfg, ws)
+        assert records and all(r.dt < acfg.dt_max for r in records)
+        assert records[-1].t == 2e-6
+        floor = AdaptiveConfig(dt_max=2e-6, dt_min=2e-6)
+        with pytest.raises(LineSearchError):
+            advance_adaptive(phi, 2e-6, scn.grid, scn.phys, floor, cfg, ws)
 
     def test_determinism(self):
         g = Grid.square(16)

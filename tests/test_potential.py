@@ -11,6 +11,7 @@ from fchsim.potential import (
     beta,
     beta_family,
     beta_prime,
+    beta_second,
     mixing_family,
     require_admissible,
 )
@@ -56,12 +57,13 @@ class TestBetaFamily:
         assert np.array_equal(b_neg, -b_pos)
         assert np.array_equal(b2_neg, -b2_pos)
 
-    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, np.nan])
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -1.5, np.nan, np.inf, -np.inf])
     def test_domain_guard(self, bad):
-        with pytest.raises(PotentialDomainError):
-            beta_family(bad)
-        with pytest.raises(PotentialDomainError):
-            beta(np.array([0.0, bad]))
+        pp = PhysParams(eps=0.1, eta=1.0, lam=2.0)
+        for fn in (beta, beta_prime, beta_second, beta_family, lambda r: mixing_family(r, pp)):
+            for r in (bad, np.array([0.0, bad])):
+                with pytest.raises(PotentialDomainError):
+                    fn(r)
 
     def test_derivative_consistency_by_central_differences(self):
         r = np.linspace(-0.99, 0.99, 1000)
