@@ -6,10 +6,11 @@ entry, unknown keys are rejected, and unset keys fall back to the scenario
 preset.  ``--set key=value`` applies the same syntax on top of the file.
 
 Each command resolves its configuration once: a copy with every unset key
-filled from the scenario preset and the solver/adaptive defaults.  The run
-is built from that resolved configuration, and ``manifest.txt`` records it
-with ``run.out`` set to the directory written, so ``--config manifest.txt``
-reproduces the run.
+filled from the scenario preset, the solver/adaptive defaults and the
+command's own defaults.  The run is built from that resolved configuration,
+and ``manifest.txt`` records it with ``run.out`` set to the directory
+written, so ``--config manifest.txt`` reproduces the run.  The output
+directory is ``--out`` if given, else ``run.out``, else ``out``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
@@ -151,15 +152,30 @@ class RunConfig:
         return cfg
 
 
-def _resolve(cfg: RunConfig, default_scenario: str = "spinodal") -> RunConfig:
-    """Copy of ``cfg`` with every unset run key filled in.
+# Defaults each command adds to the preset and config defaults.
+_COMMAND_DEFAULTS = {
+    "run": {"scenario": "spinodal"},
+    "convergence": {
+        "scenario": "convergence",
+        "convergence.n_list": (16, 32, 64, 128),
+        "convergence.coupling": "dt16h2",
+        "convergence.t_final": 0.32,
+        "convergence.refine": 4,
+    },
+}
+
+
+def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
+    """Copy of ``cfg`` with every unset key of ``command`` filled in.
 
     Scenario keys (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from
     the scenario preset, ``solver.*`` and ``adaptive.*`` from the config
-    defaults; keys whose default is None stay unset.  The run is built from
-    the result, and the result is the run's manifest.
+    defaults, ``run.out`` is ``out``, and the command's own keys come from
+    ``_COMMAND_DEFAULTS``; keys whose default is None stay unset.  The run
+    is built from the result, and the result is the run's manifest.
     """
-    name = cfg.get("scenario", default_scenario)
+    own = _COMMAND_DEFAULTS[command]
+    name = cfg.get("scenario", own["scenario"])
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
     try:
@@ -168,6 +184,7 @@ def _resolve(cfg: RunConfig, default_scenario: str = "spinodal") -> RunConfig:
         raise ConfigError(str(exc)) from exc
     (nx, ny), (lx, ly) = scn.grid.shape, scn.grid.lengths
     defaults = {
+        **own,
         "scenario": name,
         "grid.nx": nx,
         "grid.ny": ny,
@@ -176,6 +193,7 @@ def _resolve(cfg: RunConfig, default_scenario: str = "spinodal") -> RunConfig:
         "run.t_end": scn.t_end,
         "run.seed": scn.seed,
         "run.ell": scn.ell,
+        "run.out": "out",
     }
     for section, obj in (("phys", scn.phys), ("solver", SolverConfig()),
                          ("adaptive", AdaptiveConfig())):
@@ -183,6 +201,14 @@ def _resolve(cfg: RunConfig, default_scenario: str = "spinodal") -> RunConfig:
     resolved = RunConfig({k: v for k, v in defaults.items() if v is not None})
     resolved.values.update(cfg.values)
     return resolved
+
+
+def _make_outdir(resolved: RunConfig, outdir: str | Path | None) -> Path:
+    """Create the output directory and record it as the resolved ``run.out``."""
+    outdir = Path(resolved.get("run.out") if outdir is None else outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    resolved.values["run.out"] = str(outdir)
+    return outdir
 
 
 def _section_config(cfg: RunConfig, section: str, cls):
@@ -193,8 +219,11 @@ def _section_config(cfg: RunConfig, section: str, cls):
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_run(cfg: RunConfig, outdir: str | Path) -> int:
-    """Run one scenario, writing diagnostics, snapshots and a manifest."""
+def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
+    """Run one scenario, writing diagnostics, snapshots and a manifest.
+
+    ``outdir`` overrides the configuration's ``run.out``.
+    """
     resolved = _resolve(cfg)
     get = resolved.get
     try:
@@ -206,14 +235,12 @@ def cmd_run(cfg: RunConfig, outdir: str | Path) -> int:
                    seed=get("run.seed"), ell=get("run.ell"))
     solver = _section_config(resolved, "solver", SolverConfig)
     adaptive = _section_config(resolved, "adaptive", AdaptiveConfig)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(resolved, outdir)
 
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
     phi = scn.initial_condition()
     ws = SpectralWorkspace(scn.grid)
 
-    resolved.values["run.out"] = str(outdir)
     write_manifest(outdir / "manifest.txt", resolved.emit(), seed=scn.seed, rng_name=RNG_NAME)
 
     snap_steps = get("run.snap_every_steps", 0)
@@ -276,24 +303,30 @@ def _convergence_error(n: int, coupling: str, t_final: float, phys: PhysParams,
     return dt, steps, err
 
 
-def cmd_convergence(cfg: RunConfig, outdir: str | Path) -> int:
-    """Grid refinement study against the manufactured solution."""
+def cmd_convergence(cfg: RunConfig, outdir: str | Path | None = None) -> int:
+    """Grid refinement study against the manufactured solution.
+
+    Writes ``convergence.csv`` and a manifest; ``outdir`` overrides the
+    configuration's ``run.out``.
+    """
     if cfg.get("scenario", "convergence") != "convergence":
         raise ConfigError("the convergence command requires scenario = convergence")
     resolved = _resolve(cfg, "convergence")
+    get = resolved.get
     phys = _section_config(resolved, "phys", PhysParams)
     solver = _section_config(resolved, "solver", SolverConfig)
-    n_list = cfg.get("convergence.n_list", (16, 32, 64, 128))
-    coupling = cfg.get("convergence.coupling", "dt16h2")
+    n_list = get("convergence.n_list")
+    coupling = get("convergence.coupling")
     if coupling not in ("dt16h2", "dth"):
         raise ConfigError(f"coupling must be dt16h2 or dth, got {coupling!r}")
-    t_final = cfg.get("convergence.t_final", 0.32)
-    refine = cfg.get("convergence.refine", 4)
+    t_final = get("convergence.t_final")
+    refine = get("convergence.refine")
     if not n_list:
         raise ConfigError("convergence.n_list must not be empty")
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(resolved, outdir)
+    write_manifest(outdir / "manifest.txt", resolved.emit(), seed=get("run.seed"),
+                   rng_name=RNG_NAME)
 
     rows = []
     for n in n_list:
@@ -352,6 +385,8 @@ def _load_config(args) -> RunConfig:
         cfg.set(key.strip(), raw)
     if getattr(args, "seed", None) is not None:
         cfg.set("run.seed", str(args.seed))
+    if getattr(args, "out", None) is not None:
+        cfg.values["run.out"] = args.out
     return cfg
 
 
@@ -368,7 +403,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     common.add_argument(
         "--set", action="append", metavar="KEY=VALUE", help="override one config key"
     )
-    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument(
+        "--out", default=None, help="output directory (default: run.out, else out)"
+    )
     common.add_argument("--seed", type=int, default=None, help="random seed")
 
     sub.add_parser("run", parents=[common], help="run a scenario")
@@ -387,9 +424,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_inspect(args.snapshot, dump_text=args.text)
         cfg = _load_config(args)
         if args.command == "run":
-            return cmd_run(cfg, args.out)
+            return cmd_run(cfg)
         if args.command == "convergence":
-            return cmd_convergence(cfg, args.out)
+            return cmd_convergence(cfg)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Preconditioned steepest descent solver for the per-step nonlinear system.
+"""Preconditioned nonlinear conjugate gradient solver for the per-step system.
 
 One time step solves N(phi) = f for the new state, where N is strongly
 monotone thanks to the convexity of the implicit energy part.  The solver
 iterates
 
-    L d_k = r_k - mean(r_k),      r_k = f - N(phi_k),
+    L z_k = r_k - mean(r_k),      r_k = f - N(phi_k),
+    d_k = z_k + beta_k d_{k-1},
     phi_{k+1} = phi_k + alpha_k d_k,
 
 with the constant-coefficient preconditioner
@@ -12,17 +13,27 @@ with the constant-coefficient preconditioner
     L = 1/dt - eps^4 lap^3 + eps^2 theta1 lap^2
         - (lam^2 + lam eps^p eta + theta2) lap,
 
-inverted exactly by FFT (its Fourier symbol is strictly positive), and
-alpha_k the root of the scalar line function
+inverted exactly by FFT (its Fourier symbol is strictly positive), the
+Polak-Ribiere+ coefficient
+
+    beta_k = max(0, <z_k, r_k - r_{k-1}> / <z_{k-1}, r_{k-1}>),
+
+and alpha_k the root of the scalar line function
 
     g(alpha) = <N(phi_k + alpha d_k) - f, d_k>.
 
-g(0) = -<L d, d> < 0 whenever unconverged, so the root is bracketed by
-doubling from alpha = 1 and polished with a secant/bisection hybrid.  Every
-trial step is capped so the iterate keeps a fraction of its current distance
-to the pure states +-1, where the logarithmic terms blow up; if the root lies
-beyond that cap the capped step is taken (it still decreases the objective)
-and later iterations re-center.
+The iteration restarts with the preconditioned steepest descent (PSD)
+direction d_k = z_k on its first iteration, whenever <z_k, r_k> exceeds
+<z_{k-1}, r_{k-1}> (the preconditioned residual grew), and whenever d_k is
+not a descent direction (g(0) >= 0).  The growth restart keeps iterates from
+being driven against the +-1 walls by stale conjugate directions.  With
+d = z, g(0) = -<L z, z> < 0 whenever unconverged, so the root is bracketed
+by doubling from the previous step length (1 on the first iteration) and
+polished with a secant/bisection hybrid.  Every trial step is capped so the
+iterate keeps a fraction of its current distance to the pure states +-1,
+where the logarithmic terms blow up; if the root lies beyond that cap the
+capped step is taken (it still decreases the objective) and later
+iterations re-center.
 """
 
 from __future__ import annotations
@@ -93,10 +104,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Counters of one solve.
+
+    ``restarts`` counts the iterations that took the steepest descent
+    direction z_k (the first one included); ``ls_exhausted`` counts the line
+    searches that ran out of their evaluation budget inside a valid bracket
+    and took the best point seen instead of a root within ``ls_tol``.
+    """
+
     iterations: int
     residual: float
     line_search_evals: int
     margin: float
+    restarts: int
+    ls_exhausted: int
 
 
 def precond_symbol(
@@ -251,6 +272,7 @@ def line_minimize(
     cfg: SolverConfig,
     g0: float | None = None,
     hint: float | None = None,
+    exhausted: list[float] | None = None,
 ) -> tuple[float, int]:
     """Root of g(alpha) inside the admissible interval.
 
@@ -258,7 +280,9 @@ def line_minimize(
     cap, the cap itself is returned; g is still negative there, so the step
     decreases the descent objective.  ``g0`` may carry a precomputed g(0)
     (the descent iteration knows it as -<residual, d>); ``hint`` seeds the
-    bracket with the previous accepted step length.
+    bracket with the previous accepted step length.  When the evaluation
+    budget runs out inside a valid bracket, the best point seen is returned
+    and, if ``exhausted`` is given, its |g| relative to |g(0)| is appended.
     """
     require_admissible(phi, "line search base point")
     if not np.any(d):
@@ -325,6 +349,8 @@ def line_minimize(
         force_bisect = (hi - lo) > 0.5 * width
     # Budget exhausted with a valid bracket: the root is localized, take the
     # best point seen.
+    if exhausted is not None:
+        exhausted.append(best_val / scale)
     return best_alpha, g.evals
 
 
@@ -338,11 +364,15 @@ def psd_solve(
     source: np.ndarray | None = None,
     phi_init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Advance one semi-implicit step by preconditioned steepest descent.
+    """Advance one semi-implicit step by preconditioned nonlinear CG.
 
     Solves N(phi) = rhs_explicit(phi_n) (+ source) to the configured relative
-    residual.  The returned state has the same mean as phi_n to round-off
-    (every search direction is mean-zero) and is strictly admissible.
+    residual with Polak-Ribiere+ directions, restarting to the preconditioned
+    steepest descent direction on the first iteration, when the
+    preconditioned residual <z, r> grows, and when the conjugate direction is
+    not a descent direction (see the module docstring).  The returned state
+    has the same mean as phi_n to round-off (every search direction is
+    mean-zero) and is strictly admissible.
 
     ``phi_init`` may supply a better starting iterate (the adaptive driver
     passes a linear extrapolation of the two previous states); it is used
@@ -376,23 +406,39 @@ def psd_solve(
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
     ls_evals_total = 0
+    restarts = 0
+    exhausted: list[float] = []
     alpha_prev: float | None = None
+    d = r_prev = None
+    zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
         r = f - nonlinear_map(phi, dt, grid, pp)
         res = float(np.sqrt(vol * np.sum(r * r)))
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
-            return phi, SolveReport(it, res, ls_evals_total, margin)
+            return phi, SolveReport(
+                it, res, ls_evals_total, margin, restarts, len(exhausted)
+            )
         if it == cfg.max_iter:
             raise SolverDivergedError(
                 f"residual {res:.3e} > tolerance {tol:.3e} after {it} iterations",
                 residual=res,
                 iterations=it,
             )
-        d = precond_solve(r, dt, pp, cfg, ws)
-        g0 = -vol * float(np.sum(r * d))
+        z = precond_solve(r, dt, pp, cfg, ws)
+        zr = float(np.sum(z * r))
+        beta = 0.0
+        if d is not None and zr <= zr_prev:
+            beta = max(0.0, (zr - float(np.sum(z * r_prev))) / zr_prev)
+        if beta > 0.0:
+            d = z + beta * d
+            g0 = -vol * float(np.sum(r * d))
+        if beta == 0.0 or g0 >= 0.0:
+            restarts += 1
+            d = z
+            g0 = -vol * zr
         alpha, evals = line_minimize(
-            phi, d, f, dt, grid, pp, cfg, g0=g0, hint=alpha_prev
+            phi, d, f, dt, grid, pp, cfg, g0=g0, hint=alpha_prev, exhausted=exhausted
         )
         ls_evals_total += evals
         if alpha == 0.0:
@@ -403,4 +449,5 @@ def psd_solve(
             )
         alpha_prev = alpha
         phi = phi + alpha * d
+        r_prev, zr_prev = r, zr
     raise AssertionError("unreachable")

@@ -94,6 +94,38 @@ def dense_omega(phi: np.ndarray, grid: Grid, pp) -> np.ndarray:
     return (-pp.eps**2 * (L @ flat) + f_mix).reshape(grid.shape)
 
 
+def dense_energy_split(phi: np.ndarray, grid: Grid, pp) -> tuple[float, float]:
+    """(E_c, E_e) of the convex-concave split from dense operators.
+
+    Written from the formulas in the ``fchsim.energy`` docstring: the
+    Laplacian is the dense matrix, ||grad phi||^2 is -<phi, lap phi>
+    (summation by parts), and the face averages use explicit periodic shifts.
+    """
+    L = dense_laplacian(grid)
+    vol = grid.cell_volume
+    flat = phi.ravel()
+    lap = L @ flat
+    b = np.array([_beta_scalar(r) for r in flat])
+    b1 = 2.0 / (1.0 - flat**2)
+    B = (1.0 + flat) * np.log1p(flat) + (1.0 - flat) * np.log1p(-flat)
+    avg_sq = np.zeros(grid.shape)
+    for a in range(grid.ndim):
+        fwd = (np.roll(phi, -1, axis=a) - phi) / grid.spacing[a]
+        avg_sq += 0.5 * (fwd**2 + np.roll(fwd, 1, axis=a) ** 2)
+    grad_sq = -vol * float(flat @ lap)
+    e_c = vol * (
+        0.5 * pp.eps**4 * float(lap @ lap)
+        + 0.5 * float(b @ b)
+        + 0.5 * (pp.lam**2 + pp.lam * pp.eps_p_eta) * float(flat @ flat)
+        + pp.eps**2 * float(b1 @ avg_sq.ravel())
+    )
+    e_e = (
+        (0.5 * pp.eps**2 * pp.eps_p_eta + pp.lam * pp.eps**2) * grad_sq
+        + vol * (pp.lam * float(flat @ b) + pp.eps_p_eta * float(np.sum(B)))
+    )
+    return e_c, e_e
+
+
 def newton_solve(
     phi0: np.ndarray,
     f_rhs: np.ndarray,

@@ -249,6 +249,31 @@ class TestCommands:
             second / "field_00000000.snap"
         ).read_bytes()
 
+    def test_run_out_key_chooses_the_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--set", "grid.nx=16", "--set", "phys.eps=0.1",
+                "--set", "run.t_end=0", "--set", "run.out=chosen"]
+        assert main(argv) == 0
+        assert (tmp_path / "chosen" / "manifest.txt").is_file()
+        assert (tmp_path / "chosen" / "field_00000000.snap").is_file()
+        assert main(argv + ["--out", "flag"]) == 0
+        assert (tmp_path / "flag" / "manifest.txt").is_file()
+        assert not (tmp_path / "out").exists()
+
+    def test_convergence_manifest_reproduces_the_study(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "convergence", "--set", "convergence.n_list=8,16",
+            "--set", "convergence.t_final=0.02", "--set", "convergence.refine=5",
+            "--set", "phys.eta=1.5", "--out", str(first),
+        ]) == 0
+        assert main(["convergence", "--config", str(first / "manifest.txt"),
+                     "--out", str(second)]) == 0
+        assert (first / "convergence.csv").read_bytes() == (
+            second / "convergence.csv"
+        ).read_bytes()
+        assert "convergence.n_list = 8,16" in (first / "manifest.txt").read_text()
+
     def test_convergence_single_row(self, tmp_path, capsys):
         cfg = RunConfig.parse("scenario = convergence\nconvergence.n_list = 8\n")
         assert cmd_convergence(cfg, tmp_path) == 0

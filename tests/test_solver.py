@@ -288,6 +288,34 @@ class TestPsdSolve:
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12 * max(1.0, abs(a))
 
+    def test_fewer_iterations_than_steepest_descent(self):
+        # reference: plain preconditioned steepest descent, d = z every
+        # iteration, to the same relative residual
+        g, ws, phi_n, rng, dt = make_instance(Grid.square(16), 45)
+        f = rhs_explicit(phi_n, dt, g, PP)
+        tol = CFG.tol_res * max(1.0, norm(f, g, "l2"))
+        phi, sd_iters = phi_n.copy(), 0
+        while True:
+            r = f - nonlinear_map(phi, dt, g, PP)
+            if norm(r, g, "l2") <= tol:
+                break
+            d = precond_solve(r, dt, PP, CFG, ws)
+            alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG)
+            phi = phi + alpha * d
+            sd_iters += 1
+            assert sd_iters < CFG.max_iter
+        phi_cg, report = psd_solve(phi_n, dt, g, PP, CFG, ws)
+        assert report.iterations < sd_iters
+        assert report.restarts >= 1
+        assert norm(phi_cg - phi, g, "l2") <= tol
+
+    def test_exhausted_line_searches_are_counted(self):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 45)
+        _, report = psd_solve(phi, dt, g, PP, SolverConfig(ls_max=3), ws)
+        assert report.ls_exhausted > 0
+        _, report = psd_solve(phi, dt, g, PP, CFG, ws)
+        assert report.ls_exhausted == 0
+
     def test_g_nondecreasing_on_admissible_interval(self):
         for seed in (51, 52, 53):
             g, ws, phi, rng, dt = make_instance(Grid.square(10), seed)
