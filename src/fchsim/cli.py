@@ -323,6 +323,12 @@ def cmd_convergence(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     refine = get("convergence.refine")
     if not n_list:
         raise ConfigError("convergence.n_list must not be empty")
+    if min(n_list) < 4:
+        raise ConfigError(f"convergence.n_list entries must be at least 4, got {min(n_list)}")
+    if not (t_final > 0 and np.isfinite(t_final)):
+        raise ConfigError(f"convergence.t_final must be positive and finite, got {t_final!r}")
+    if refine < 4:
+        raise ConfigError(f"convergence.refine must be at least 4, got {refine}")
 
     outdir = _make_outdir(resolved, outdir)
     write_manifest(outdir / "manifest.txt", resolved.emit(), seed=get("run.seed"),

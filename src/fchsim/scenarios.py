@@ -21,10 +21,12 @@ The manufactured forcing makes Phi(x,y,t) = sin(2 pi x) cos(2 pi y) cos(t)/pi
 an exact solution of the continuous equation: S = dPhi/dt - lap mu(Phi) with
 the continuous chemical potential mu.  Composite potential terms are
 evaluated pointwise from the closed form of Phi (using its analytic first
-derivatives); the Laplacians of the composites and the outer Laplacian are
-applied by Fourier differentiation on a refined lattice whose points contain
-the simulation cell centers, so restriction is plain subsampling of the
-trigonometric interpolant.
+derivatives) on a refined lattice whose points contain the simulation cell
+centers.  The outer Laplacian takes one transform of mu on that lattice,
+keeps the band the simulation grid resolves, multiplies it by the continuous
+Laplacian symbol and synthesizes the result at the simulation resolution.
+The time derivative is a single resolved mode, so it is sampled at the cell
+centers directly.
 """
 
 from __future__ import annotations
@@ -154,41 +156,28 @@ def manufactured_state(grid: Grid, t: float) -> np.ndarray:
     return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.cos(t) / np.pi)
 
 
-def _fourier_laplacian(values: np.ndarray, lengths: tuple[float, ...]) -> np.ndarray:
-    """Continuous (trigonometric-interpolant) Laplacian on a uniform lattice."""
-    shape = values.shape
-    per_axis = []
-    for a, (n, L) in enumerate(zip(shape, lengths)):
-        if a == len(shape) - 1:
-            k = np.arange(n // 2 + 1)
-        else:
-            k = np.fft.fftfreq(n, d=1.0 / n)
-        per_axis.append(-((2.0 * np.pi * k / L) ** 2))
-    sym = per_axis[0]
-    for arr in per_axis[1:]:
-        sym = sym[..., None] + arr
-    return np.fft.irfftn(np.fft.rfftn(values) * sym, s=shape, axes=tuple(range(len(shape))))
+def _band_laplacian(
+    values: np.ndarray, shape: tuple[int, int], lengths: tuple[float, float]
+) -> np.ndarray:
+    """Continuous Laplacian of a fine-lattice 2D field, band-limited to ``shape``.
 
-
-def _restrict_spectrum(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Band-limit a fine-lattice 2D field to a coarse lattice.
-
-    Both lattices must share the same physical offset; the coefficient block
+    Both lattices must share the same physical offset.  The coefficient block
     below the coarse Nyquist band is kept (Nyquist row/column dropped, where
-    the content of smooth fields is negligible) and synthesized at the coarse
-    resolution.  Truncation also discards the fine-band rounding noise that
-    repeated spectral differentiation amplifies.
+    the content of smooth fields is negligible), multiplied by the Laplacian
+    symbol and synthesized at the coarse resolution.  Truncation also
+    discards the fine-band rounding noise that spectral differentiation
+    amplifies.
     """
     m0, m1 = values.shape
     n0, n1 = shape
-    if (m0, m1) == (n0, n1):
-        return values.copy()
+    half0, half1 = n0 // 2, n1 // 2
     fhat = np.fft.rfftn(values)
-    out = np.zeros((n0, n1 // 2 + 1), dtype=complex)
-    half0 = n0 // 2
-    out[:half0, : n1 // 2] = fhat[:half0, : n1 // 2]
-    out[-(half0 - 1):, : n1 // 2] = fhat[-(half0 - 1):, : n1 // 2]
-    out *= (n0 * n1) / (m0 * m1)
+    out = np.zeros((n0, half1 + 1), dtype=complex)
+    out[:half0, :half1] = fhat[:half0, :half1]
+    out[-(half0 - 1):, :half1] = fhat[-(half0 - 1):, :half1]
+    k0 = 2.0 * np.pi * np.fft.fftfreq(n0, d=1.0 / n0) / lengths[0]
+    k1 = 2.0 * np.pi * np.arange(half1 + 1) / lengths[1]
+    out *= -(k0[:, None] ** 2 + k1**2) * ((n0 * n1) / (m0 * m1))
     return np.fft.irfftn(out, s=shape, axes=(0, 1))
 
 
@@ -198,28 +187,35 @@ def manufactured_forcing(
     """Forcing S(., t) making the manufactured state an exact solution.
 
     The composites are sampled on a lattice refined by ``refine_factor`` and
-    offset by half a simulation cell, so its trigonometric interpolant is
-    evaluated at the simulation cell centers by plain band truncation.  The
-    Laplacians of the sampled single mode are closed-form (its spectral
-    derivative); only the potential composites and the outer Laplacian need
-    the transform.  The residual mean (spectrally small) is removed so forced
-    runs conserve the discrete mean exactly.
+    offset by half a simulation cell, built by broadcasting sin/cos of the
+    two 1D axes.  One transform of mu on that lattice, truncated to the band
+    the simulation grid resolves, gives its Laplacian at the cell centers.
+    The Laplacians of the sampled single mode are closed-form (its spectral
+    derivative), and so is the time derivative, sampled at the cell centers
+    (every ``refine_factor``-th fine point).  The residual mean (spectrally
+    small) is removed so forced runs conserve the discrete mean exactly.
     """
     _require_unit_square(grid, "manufactured forcing")
     if refine_factor < 4:
         raise ValueError(f"refine_factor must be at least 4, got {refine_factor}")
+    if min(grid.shape) < 4:
+        raise ValueError(
+            f"manufactured forcing needs at least 4 cells per axis, got shape {grid.shape}"
+        )
     R = int(refine_factor)
-    fine_shape = tuple(R * n for n in grid.shape)
-    coords = [
-        (np.arange(m) / m + 0.5 / n) * L
-        for m, n, L in zip(fine_shape, grid.shape, grid.lengths)
-    ]
-    x, y = np.meshgrid(*coords, indexing="ij")
+    x, y = (
+        (np.arange(R * n) / (R * n) + 0.5 / n) * L for n, L in zip(grid.shape, grid.lengths)
+    )
+    sin_x = np.sin(2 * np.pi * x)[:, None]
+    cos_x = np.cos(2 * np.pi * x)[:, None]
+    sin_y = np.sin(2 * np.pi * y)
+    cos_y = np.cos(2 * np.pi * y)
 
     cos_t = np.cos(t)
-    phi = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * (cos_t / np.pi)
-    gx = 2.0 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) * cos_t
-    gy = -2.0 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * cos_t
+    mode = sin_x * cos_y
+    phi = mode * (cos_t / np.pi)
+    gx = 2.0 * cos_x * cos_y * cos_t
+    gy = -2.0 * sin_x * sin_y * cos_t
     grad_sq = gx * gx + gy * gy
 
     b = beta(phi)
@@ -245,9 +241,8 @@ def manufactured_forcing(
         - (pp.lam + pp.eps_p_eta) * b
         + pp.lam * (pp.lam + pp.eps_p_eta) * phi
     )
-    dphi_dt = -np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * (np.sin(t) / np.pi)
-    s_fine = dphi_dt - _fourier_laplacian(mu, grid.lengths)
-    s = _restrict_spectrum(s_fine, grid.shape)
+    dphi_dt = -mode[::R, ::R] * (np.sin(t) / np.pi)
+    s = dphi_dt - _band_laplacian(mu, grid.shape, grid.lengths)
     return s - np.mean(s)
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from fchsim.grid import Grid
+from fchsim.potential import beta, beta_prime, beta_second
 
 
 def dense_laplacian(grid: Grid) -> np.ndarray:
@@ -194,3 +195,77 @@ def smooth_admissible_field(grid: Grid, rng: np.random.Generator, amplitude: flo
     if sup > 0:
         out *= amplitude / sup
     return out
+
+
+def _fourier_laplacian(values: np.ndarray, lengths: tuple[float, ...]) -> np.ndarray:
+    """Continuous (trigonometric-interpolant) Laplacian on a uniform lattice."""
+    shape = values.shape
+    per_axis = []
+    for a, (n, L) in enumerate(zip(shape, lengths)):
+        if a == len(shape) - 1:
+            k = np.arange(n // 2 + 1)
+        else:
+            k = np.fft.fftfreq(n, d=1.0 / n)
+        per_axis.append(-((2.0 * np.pi * k / L) ** 2))
+    sym = per_axis[0]
+    for arr in per_axis[1:]:
+        sym = sym[..., None] + arr
+    return np.fft.irfftn(np.fft.rfftn(values) * sym, s=shape, axes=tuple(range(len(shape))))
+
+
+def _restrict_spectrum(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Band-limit a fine-lattice 2D field to a coarse lattice (Nyquist row/column dropped)."""
+    m0, m1 = values.shape
+    n0, n1 = shape
+    fhat = np.fft.rfftn(values)
+    out = np.zeros((n0, n1 // 2 + 1), dtype=complex)
+    half0 = n0 // 2
+    out[:half0, : n1 // 2] = fhat[:half0, : n1 // 2]
+    out[-(half0 - 1):, : n1 // 2] = fhat[-(half0 - 1):, : n1 // 2]
+    out *= (n0 * n1) / (m0 * m1)
+    return np.fft.irfftn(out, s=shape, axes=(0, 1))
+
+
+def manufactured_forcing_reference(grid: Grid, t: float, pp, refine_factor: int = 4) -> np.ndarray:
+    """Manufactured forcing evaluated entirely on the refined 2D lattice.
+
+    Every factor is a full-lattice sin/cos of the meshgrid; the outer
+    Laplacian is applied on the fine lattice and the whole of S (time
+    derivative included) is then band-limited to the coarse grid.  The
+    composite formula for mu is the one ``fchsim.scenarios`` uses.
+    """
+    R = int(refine_factor)
+    fine_shape = tuple(R * n for n in grid.shape)
+    coords = [
+        (np.arange(m) / m + 0.5 / n) * L
+        for m, n, L in zip(fine_shape, grid.shape, grid.lengths)
+    ]
+    x, y = np.meshgrid(*coords, indexing="ij")
+
+    cos_t = np.cos(t)
+    phi = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * (cos_t / np.pi)
+    gx = 2.0 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) * cos_t
+    gy = -2.0 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * cos_t
+    grad_sq = gx * gx + gy * gy
+
+    b = beta(phi)
+    b1 = beta_prime(phi)
+    b2 = beta_second(phi)
+    lap_phi = -8.0 * np.pi**2 * phi
+    bilap_phi = 64.0 * np.pi**4 * phi
+    lap_b = b1 * lap_phi + b2 * grad_sq
+
+    mu = (
+        pp.eps**4 * bilap_phi
+        + b * b1
+        + pp.eps**2 * b2 * grad_sq
+        - 2.0 * pp.eps**2 * lap_b
+        - pp.lam * phi * b1
+        + pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta) * lap_phi
+        - (pp.lam + pp.eps_p_eta) * b
+        + pp.lam * (pp.lam + pp.eps_p_eta) * phi
+    )
+    dphi_dt = -np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * (np.sin(t) / np.pi)
+    s_fine = dphi_dt - _fourier_laplacian(mu, grid.lengths)
+    s = _restrict_spectrum(s_fine, grid.shape)
+    return s - np.mean(s)

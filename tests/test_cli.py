@@ -313,6 +313,14 @@ class TestMainExitCodes:
     def test_bad_scenario_is_config_error(self, tmp_path):
         assert main(["run", "--set", "scenario=warp", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "setting", ["convergence.refine=2", "convergence.t_final=0", "convergence.n_list=1"]
+    )
+    def test_bad_convergence_value_is_config_error(self, tmp_path, setting):
+        out = tmp_path / "out"
+        assert main(["convergence", "--set", setting, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_snapshot_is_io_error(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.snap")]) == 4
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fchsim.dynamics import (
+    ENERGY_SLACK_FACTOR,
+    MASS_RTOL,
     AdaptiveConfig,
     StabilityViolationError,
     advance_adaptive,
@@ -9,7 +14,15 @@ from fchsim.dynamics import (
     step,
 )
 from fchsim.energy import energy_total
-from fchsim.grid import Grid, SpectralWorkspace, norm
+from fchsim.grid import (
+    Grid,
+    SpectralWorkspace,
+    divergence,
+    gradient,
+    inner,
+    inner_face,
+    norm,
+)
 from fchsim.potential import PhysParams
 from fchsim.scenarios import (
     init_spinodal,
@@ -92,6 +105,56 @@ class TestStep:
         src = manufactured_forcing(g, 0.0, PP, 4)
         phi1, rec = step(phi, 0.01, g, PP, CFG, ws, source=src)
         assert np.max(np.abs(phi1)) < 1.0
+
+
+# 1D, non-square 2D and odd-n 2D, each at most 16 cells per axis
+PROPERTY_GRIDS = (Grid.line(16), Grid((12, 16), (1.0, 1.5)), Grid.square(15))
+
+
+def _field(grid: Grid, bound: float):
+    return arrays(np.float64, grid.shape, elements=st.floats(-bound, bound))
+
+
+@st.composite
+def admissible_steps(draw):
+    """A grid, a random state with |phi| <= 0.9 on it, and a time step."""
+    grid = draw(st.sampled_from(PROPERTY_GRIDS))
+    phi = draw(_field(grid, 0.9))
+    dt = draw(st.floats(1e-5, 1e-2))
+    return grid, phi, dt
+
+
+@st.composite
+def cell_and_face_fields(draw):
+    grid = draw(st.sampled_from(PROPERTY_GRIDS))
+    psi = draw(_field(grid, 1e3))
+    F = [draw(_field(grid, 1e3)) for _ in range(grid.ndim)]
+    return grid, psi, F
+
+
+class TestStepProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(admissible_steps())
+    def test_one_step_guarantees(self, case):
+        g, phi, dt = case
+        e0 = energy_total(phi, g, PP).total
+        phi1, rec = step(phi, dt, g, PP, CFG, SpectralWorkspace(g))
+        mass0 = float(np.mean(phi))
+        assert abs(np.mean(phi1) - mass0) <= MASS_RTOL * max(1.0, abs(mass0))
+        assert np.max(np.abs(phi1)) < 1.0
+        slack = ENERGY_SLACK_FACTOR * CFG.tol_res * max(1.0, abs(e0))
+        assert energy_total(phi1, g, PP).total + dt * rec.grad_mu**2 <= e0 + slack
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cell_and_face_fields())
+    def test_summation_by_parts(self, case):
+        # <psi, div F> = -[grad psi, F]
+        g, psi, F = case
+        lhs = inner(psi, divergence(F, g), g)
+        rhs = -inner_face(gradient(psi, g), F, g)
+        # scale / h bounds each side up to a factor 2 * ndim
+        scale = g.cell_volume * np.sum(np.abs(psi)) * max(np.max(np.abs(Fa)) for Fa in F)
+        assert abs(lhs - rhs) <= 1e-12 * max(scale / min(g.spacing), 1.0)
 
 
 class TestAdvanceFixed:

@@ -18,6 +18,8 @@ from fchsim.scenarios import (
 )
 from fchsim.solver import SolverConfig, psd_solve
 
+from oracles import manufactured_forcing_reference
+
 PP_CONV = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 
 
@@ -162,9 +164,29 @@ class TestManufacturedForcing:
         S8 = manufactured_forcing(g, 0.37, PP_CONV, 8)
         assert np.max(np.abs(S4 - S8)) <= 1e-9
 
-    def test_rejects_low_refinement(self):
-        with pytest.raises(ValueError):
-            manufactured_forcing(Grid.square(16), 0.0, PP_CONV, 2)
+    @pytest.mark.parametrize(
+        "grid, refine, message",
+        [
+            (Grid.square(16), 2, "refine_factor"),
+            (Grid.square(2), 4, "at least 4 cells"),
+            (Grid.square(3), 4, "at least 4 cells"),
+        ],
+        ids=["refine2", "n2", "n3"],
+    )
+    def test_rejects_low_refinement(self, grid, refine, message):
+        with pytest.raises(ValueError, match=message):
+            manufactured_forcing(grid, 0.0, PP_CONV, refine)
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 16), (32, 32), (15, 15), (16, 24)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    @pytest.mark.parametrize("refine", [4, 5, 8])
+    def test_matches_full_lattice_reference(self, shape, refine):
+        g = Grid(shape, (1.0, 1.0))
+        for t in (0.0, 0.37, 1.1, math.pi / 2):
+            S = manufactured_forcing(g, t, PP_CONV, refine)
+            S_ref = manufactured_forcing_reference(g, t, PP_CONV, refine)
+            assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
 
     def test_one_step_error_ratio(self):
         # one forced step from the sampled exact state: halving h with
