@@ -10,28 +10,19 @@ from .grid import (
     face_diff,
     cell_avg,
     cell_diff,
-    gradient,
-    divergence,
     laplacian,
     inner,
-    inner_face,
-    mean,
     norm,
-    inv_neg_laplacian,
-    norm_hm1,
 )
-from .potential import PhysParams, PotentialDomainError, admissible, beta_family, mixing_family
+from .potential import PhysParams, PotentialDomainError, admissible, mixing_family
 from .energy import (
     EnergyBreakdown,
     energy_total,
-    energy_convex,
-    energy_concave,
     var_convex,
     var_concave,
     nonlinear_map,
     rhs_explicit,
     chemical_potential,
-    omega_field,
 )
 from .solver import (
     SolverConfig,

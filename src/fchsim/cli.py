@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,6 +69,13 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
+
+
 def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
@@ -77,36 +85,36 @@ _SCHEMA = {
     "scenario": (str, str),
     "grid.nx": (int, str),
     "grid.ny": (int, str),
-    "grid.lx": (float, repr),
-    "grid.ly": (float, repr),
-    "phys.eps": (float, repr),
-    "phys.eta": (float, repr),
-    "phys.lam": (float, repr),
+    "grid.lx": (_parse_float, repr),
+    "grid.ly": (_parse_float, repr),
+    "phys.eps": (_parse_float, repr),
+    "phys.eta": (_parse_float, repr),
+    "phys.lam": (_parse_float, repr),
     "phys.p": (int, str),
-    "solver.theta1": (float, repr),
-    "solver.theta2": (float, repr),
-    "solver.tol_res": (float, repr),
+    "solver.theta1": (_parse_float, repr),
+    "solver.theta2": (_parse_float, repr),
+    "solver.tol_res": (_parse_float, repr),
     "solver.max_iter": (int, str),
-    "solver.ls_tol": (float, repr),
+    "solver.ls_tol": (_parse_float, repr),
     "solver.ls_max": (int, str),
-    "solver.ls_margin": (float, repr),
-    "adaptive.dt_max": (float, repr),
-    "adaptive.dt_min": (float, repr),
-    "adaptive.rate_hi": (float, repr),
-    "adaptive.rate_lo": (float, repr),
-    "adaptive.grow": (float, repr),
-    "adaptive.shrink": (float, repr),
-    "adaptive.dt_init": (float, repr),
-    "run.t_end": (float, repr),
+    "solver.ls_margin": (_parse_float, repr),
+    "adaptive.dt_max": (_parse_float, repr),
+    "adaptive.dt_min": (_parse_float, repr),
+    "adaptive.rate_hi": (_parse_float, repr),
+    "adaptive.rate_lo": (_parse_float, repr),
+    "adaptive.grow": (_parse_float, repr),
+    "adaptive.shrink": (_parse_float, repr),
+    "adaptive.dt_init": (_parse_float, repr),
+    "run.t_end": (_parse_float, repr),
     "run.seed": (int, str),
-    "run.ell": (float, repr),
+    "run.ell": (_parse_float, repr),
     "run.snap_every_steps": (int, str),
-    "run.snap_every_time": (float, repr),
+    "run.snap_every_time": (_parse_float, repr),
     "run.out": (str, str),
     "run.text_snapshots": (_parse_bool, lambda b: "true" if b else "false"),
     "convergence.n_list": (_parse_int_list, lambda t: ",".join(str(n) for n in t)),
     "convergence.coupling": (str, str),
-    "convergence.t_final": (float, repr),
+    "convergence.t_final": (_parse_float, repr),
     "convergence.refine": (int, str),
 }
 
@@ -262,17 +270,20 @@ def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
             pass
         return 0
 
-    snap_state = {"next_time": snap_time if snap_time > 0 else None}
+    next_time = snap_time if snap_time > 0 else None
 
     with DiagnosticsWriter(outdir / "diagnostics.csv") as diag:
 
         def sink(rec, phi_now):
+            nonlocal next_time
             diag.write(rec)
-            if snap_steps > 0 and rec.step % snap_steps == 0:
+            time_due = next_time is not None and rec.t + 1e-15 >= next_time
+            if time_due:
+                # the first multiple of snap_time beyond rec.t, however far
+                # the step went and whichever rule saves this step
+                next_time = (math.floor((rec.t + 1e-15) / snap_time) + 1) * snap_time
+            if time_due or (snap_steps > 0 and rec.step % snap_steps == 0):
                 save(phi_now, time=rec.t, step_index=rec.step)
-            elif snap_state["next_time"] is not None and rec.t + 1e-15 >= snap_state["next_time"]:
-                save(phi_now, time=rec.t, step_index=rec.step)
-                snap_state["next_time"] += snap_time
 
         records, phi_end = advance_adaptive(
             phi, scn.t_end, scn.grid, scn.phys, adaptive, solver, ws, sink=sink
@@ -325,8 +336,8 @@ def cmd_convergence(cfg: RunConfig, outdir: str | Path | None = None) -> int:
         raise ConfigError("convergence.n_list must not be empty")
     if min(n_list) < 4:
         raise ConfigError(f"convergence.n_list entries must be at least 4, got {min(n_list)}")
-    if not (t_final > 0 and np.isfinite(t_final)):
-        raise ConfigError(f"convergence.t_final must be positive and finite, got {t_final!r}")
+    if not t_final > 0:
+        raise ConfigError(f"convergence.t_final must be positive, got {t_final!r}")
     if refine < 4:
         raise ConfigError(f"convergence.refine must be at least 4, got {refine}")
 

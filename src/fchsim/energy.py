@@ -55,15 +55,12 @@ from .potential import (
 __all__ = [
     "EnergyBreakdown",
     "avg_grad_sq",
-    "energy_convex",
-    "energy_concave",
     "energy_total",
     "var_convex",
     "var_concave",
     "nonlinear_map",
     "rhs_explicit",
     "chemical_potential",
-    "omega_field",
 ]
 
 
@@ -125,16 +122,6 @@ def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown
     )
 
 
-def energy_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
-    """Convex part E_c of the split; see :func:`energy_total`."""
-    return energy_total(phi, grid, pp).convex
-
-
-def energy_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> float:
-    """Concave part E_e of the split; see :func:`energy_total`."""
-    return energy_total(phi, grid, pp).concave
-
-
 def var_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Variational derivative of the convex energy part."""
     require_admissible(phi, "variational derivative argument")
@@ -187,10 +174,3 @@ def chemical_potential(
 ) -> np.ndarray:
     """Chemical potential of the semi-implicit step joining the two states."""
     return var_convex(phi_new, grid, pp) - var_concave(phi_old, grid, pp)
-
-
-def omega_field(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
-    """Cahn-Hilliard chemical potential diagnostic -eps^2 lap phi + f(phi)."""
-    require_admissible(phi, "omega argument")
-    _, _, f = mixing_family(phi, pp)
-    return -pp.eps**2 * laplacian(phi, grid) + f

@@ -9,44 +9,32 @@ The difference/average stencils come in cell->face (``face_diff``,
 ``face_avg``) and face->cell (``cell_diff``, ``cell_avg``) pairs, chosen so
 that the summation-by-parts identity
 
-    <psi, div F> = -[grad psi, F]
+    <psi, sum_axis cell_diff(F_axis)> = -sum_axis [face_diff(psi), F_axis]
 
-holds exactly (up to round-off) on any periodic grid.  The Laplacian is the
-standard 3/5-point stencil, and ``SpectralWorkspace`` diagonalizes it with
-real FFTs for the inverse used by the H^{-1} inner product and the solver
-preconditioner.
+holds exactly (up to round-off) on any periodic grid, with [., .] the plain
+face sum times the cell volume.  The Laplacian is the standard 3/5-point
+stencil, and ``SpectralWorkspace`` diagonalizes it with real FFTs for the
+solver preconditioner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Grid",
     "SpectralWorkspace",
-    "NonzeroMeanError",
     "face_diff",
     "face_avg",
     "cell_diff",
     "cell_avg",
-    "gradient",
-    "divergence",
     "laplacian",
     "inner",
-    "inner_face",
-    "mean",
     "norm",
     "grad_norm_sq",
-    "inv_neg_laplacian",
-    "norm_hm1",
 ]
-
-
-class NonzeroMeanError(ValueError):
-    """Input to an operator defined only on mean-zero fields has a mean."""
 
 
 @dataclass(frozen=True)
@@ -154,19 +142,6 @@ def cell_avg(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return 0.5 * (g + np.roll(g, 1, axis=axis))
 
 
-def gradient(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Face-centered gradient, one component per axis."""
-    return tuple(face_diff(f, grid, a) for a in range(grid.ndim))
-
-
-def divergence(components: Iterable[np.ndarray], grid: Grid) -> np.ndarray:
-    """Cell-centered divergence of a face field."""
-    out = grid.zeros()
-    for a, g in enumerate(components):
-        out += cell_diff(g, grid, a)
-    return out
-
-
 def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Standard 3/5-point periodic Laplacian (div of grad)."""
     out = np.zeros_like(f)
@@ -176,37 +151,13 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-# inner products, means and norms
+# inner products and norms
 
 
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
     """Cell-volume-weighted inner product <f, g>."""
     _check_same_grid(f, g, grid)
     return grid.cell_volume * float(np.sum(f * g))
-
-
-def inner_face(F: Iterable[np.ndarray], G: Iterable[np.ndarray], grid: Grid) -> float:
-    """Face-field inner product [F, G], summed over axes.
-
-    The per-axis form <a_axis(F G), 1> reduces to a plain face sum under
-    periodicity, which is what is computed here.
-    """
-    total = 0.0
-    count = 0
-    for Fa, Ga in zip(F, G):
-        _check_same_grid(Fa, Ga, grid)
-        total += float(np.sum(Fa * Ga))
-        count += 1
-    if count != grid.ndim:
-        raise ValueError(f"expected {grid.ndim} components, got {count}")
-    return grid.cell_volume * total
-
-
-def mean(f: np.ndarray, grid: Grid) -> float:
-    """Domain average |Omega|^{-1} <f, 1>."""
-    if f.shape != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
-    return float(np.mean(f))
 
 
 def grad_norm_sq(f: np.ndarray, grid: Grid) -> float:
@@ -218,21 +169,11 @@ def grad_norm_sq(f: np.ndarray, grid: Grid) -> float:
     return grid.cell_volume * total
 
 
-def norm(f: np.ndarray, grid: Grid, kind: str = "l2", p: float = 2.0) -> float:
-    """Discrete norms: 'l2', 'lp' (needs p >= 1), 'linf', 'h1', 'h2'."""
+def norm(f: np.ndarray, grid: Grid, kind: str = "l2") -> float:
+    """Discrete norm of a cell field: 'l2', or 'h2' (l2, gradient and Laplacian parts)."""
     kind = kind.lower()
     if kind == "l2":
         return float(np.sqrt(inner(f, f, grid)))
-    if kind == "lp":
-        if p < 1:
-            raise ValueError(f"Lp norm needs p >= 1, got {p}")
-        return float(
-            (grid.cell_volume * np.sum(np.abs(f) ** p)) ** (1.0 / p)
-        )
-    if kind == "linf":
-        return float(np.max(np.abs(f)))
-    if kind == "h1":
-        return float(np.sqrt(inner(f, f, grid) + grad_norm_sq(f, grid)))
     if kind == "h2":
         lap = laplacian(f, grid)
         return float(
@@ -241,7 +182,7 @@ def norm(f: np.ndarray, grid: Grid, kind: str = "l2", p: float = 2.0) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-# spectral inversion of the stencil Laplacian
+# spectral diagonalization of the stencil Laplacian
 
 
 def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
@@ -280,46 +221,9 @@ class SpectralWorkspace:
     def __post_init__(self):
         self.sigma = _stencil_eigenvalues(self.grid)
 
-    @property
-    def sigma_min_nonzero(self) -> float:
-        """Smallest nonzero eigenvalue of -laplacian."""
-        flat = self.sigma.ravel()
-        return float(np.min(flat[flat > 0]))
-
     def forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f)
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         shape = self.grid.shape
         return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
-
-
-def inv_neg_laplacian(f: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Mean-zero solution psi of -laplacian(psi) = f for mean-zero f.
-
-    The input must have zero mean up to 1e-12 relative to its sup norm; the
-    residual mean (round-off accumulated by long runs) is subtracted before
-    solving, and the zero mode of the result is pinned to zero.
-    """
-    grid = ws.grid
-    fbar = mean(f, grid)
-    scale = float(np.max(np.abs(f)))
-    if abs(fbar) > 1e-12 * max(scale, 1e-300):
-        raise NonzeroMeanError(
-            f"inverse Laplacian needs a mean-zero field, got mean {fbar:.3e} "
-            f"(sup norm {scale:.3e})"
-        )
-    fhat = ws.forward(f - fbar)
-    sigma = ws.sigma
-    out = np.empty_like(fhat)
-    np.divide(fhat, sigma, out=out, where=sigma > 0)
-    out[(0,) * out.ndim] = 0.0
-    psi = ws.inverse(out)
-    return psi - np.mean(psi)
-
-
-def norm_hm1(f: np.ndarray, ws: SpectralWorkspace) -> float:
-    """Discrete H^{-1} norm sqrt(<f, psi[f]>) of a mean-zero field."""
-    psi = inv_neg_laplacian(f, ws)
-    val = inner(f, psi, ws.grid)
-    return float(np.sqrt(max(val, 0.0)))

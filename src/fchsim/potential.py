@@ -10,7 +10,6 @@ Monotone part of the mixing derivative and its derivatives:
     beta(r)   = log((1 + r) / (1 - r))
     beta'(r)  = 2 / (1 - r^2)            >= 2
     beta''(r) = 4 r / (1 - r^2)^2
-    beta'''(r)= 4 (1 + 3 r^2) / (1 - r^2)^3
 
 Mixing energy density and friends, with well depth lambda:
 
@@ -31,7 +30,6 @@ __all__ = [
     "beta",
     "beta_prime",
     "beta_second",
-    "beta_family",
     "mixing_family",
     "admissible",
     "require_admissible",
@@ -81,18 +79,6 @@ def beta_second(r):
     return 4.0 * r / np.square(1.0 - np.square(r))
 
 
-def beta_family(r):
-    """beta and its first three derivatives at r, as a tuple."""
-    require_admissible(r, "phase value")
-    r = np.asarray(r, dtype=float)
-    one_minus = 1.0 - np.square(r)
-    b = np.log1p(r) - np.log1p(-r)
-    b1 = 2.0 / one_minus
-    b2 = 4.0 * r / np.square(one_minus)
-    b3 = 4.0 * (1.0 + 3.0 * np.square(r)) / (one_minus**3)
-    return b, b1, b2, b3
-
-
 def mixing_family(r, pp: PhysParams):
     """Mixing energy density pieces (B, F, f) at r.
 
@@ -107,25 +93,14 @@ def mixing_family(r, pp: PhysParams):
     return B, F, f
 
 
-def admissible(f: np.ndarray, margin: float = 0.0) -> bool:
-    """True when the field keeps distance ``margin`` from the pure states.
-
-    With margin 0 the comparison is strict (max |value| < 1); with a positive
-    margin it is ||f||_inf <= 1 - margin.
-    """
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
-    sup = float(np.max(np.abs(f)))
-    if not np.isfinite(sup):
-        return False
-    if margin == 0.0:
-        return sup < 1.0
-    return sup <= 1.0 - margin
+def admissible(f: np.ndarray) -> bool:
+    """True when every value lies strictly inside (-1, 1); NaN never does."""
+    return float(np.max(np.abs(f))) < 1.0
 
 
 def require_admissible(f: np.ndarray, what: str = "field") -> None:
     """Raise PotentialDomainError unless the field is strictly inside (-1, 1)."""
-    if not admissible(f, 0.0):
+    if not admissible(f):
         raise PotentialDomainError(
             f"{what} is not strictly separated from the pure states: "
             f"sup norm {float(np.max(np.abs(f))):.17g}"

@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is built from the textbook definitions with dense matrices
-and explicit index arithmetic, deliberately avoiding the production stencil
-and FFT code paths.
+Everything here except ``spectral_norm_hm1`` is built from the textbook
+definitions with dense matrices and explicit index arithmetic, deliberately
+avoiding the production stencil and FFT code paths.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fchsim.grid import Grid
+from fchsim.grid import Grid, SpectralWorkspace
 from fchsim.potential import beta, beta_prime, beta_second
 
 
@@ -46,6 +46,27 @@ def dense_solve_neg_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     psi = np.linalg.lstsq(-L, f.ravel() - f.mean(), rcond=None)[0]
     psi -= psi.mean()
     return psi.reshape(grid.shape)
+
+
+def spectral_norm_hm1(f: np.ndarray, ws: SpectralWorkspace) -> float:
+    """Discrete H^-1 norm sqrt(<f, psi>) of a mean-zero f, where -lap psi = f.
+
+    The one oracle built on the production FFT path: psi is solved mode by
+    mode with the workspace's ``forward``, ``sigma`` and ``inverse`` (zero
+    mode pinned to zero), and criterion 6 checks this norm against the
+    dense matrix.
+    """
+    fhat = ws.forward(f)
+    psi_hat = np.zeros_like(fhat)
+    np.divide(fhat, ws.sigma, out=psi_hat, where=ws.sigma > 0)
+    val = ws.grid.cell_volume * float(np.sum(f * ws.inverse(psi_hat)))
+    return math.sqrt(max(val, 0.0))
+
+
+def beta_third(r):
+    """Third derivative of beta in closed form, 4 (1 + 3 r^2) / (1 - r^2)^3."""
+    r = np.asarray(r, dtype=float)
+    return 4.0 * (1.0 + 3.0 * np.square(r)) / (1.0 - np.square(r)) ** 3
 
 
 def _beta_scalar(r: float) -> float:
@@ -86,13 +107,6 @@ def dense_nonlinear_map(phi: np.ndarray, dt: float, grid: Grid, pp) -> np.ndarra
     L = dense_laplacian(grid)
     v = dense_var_convex(phi, grid, pp)
     return phi / dt - (L @ v.ravel()).reshape(grid.shape)
-
-
-def dense_omega(phi: np.ndarray, grid: Grid, pp) -> np.ndarray:
-    L = dense_laplacian(grid)
-    flat = phi.ravel()
-    f_mix = np.array([_beta_scalar(r) for r in flat]) - pp.lam * flat
-    return (-pp.eps**2 * (L @ flat) + f_mix).reshape(grid.shape)
 
 
 def dense_energy_split(phi: np.ndarray, grid: Grid, pp) -> tuple[float, float]:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,31 @@ def test_package_reexports_public_names():
         assert name in importlib.import_module(home).__all__, (
             f"fchsim.{name} is not in {home}.__all__"
         )
+
+
+def _referenced_names(paths):
+    """Every identifier used as an AST Name or Attribute in the given files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public name earns its place by a use in the program or its benchmark;
+    # the package re-exports and the tests do not count
+    package = Path(fchsim.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    used = _referenced_names(sources + bench)
+    uncalled = [
+        f"{name}.{public}"
+        for name in MODULES
+        for public in importlib.import_module(name).__all__
+        if public not in used
+    ]
+    assert not uncalled, f"public names nothing in src or perfbench uses: {uncalled}"

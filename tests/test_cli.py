@@ -217,6 +217,27 @@ class TestCommands:
         assert np.array_equal(a, b)
         assert (out1 / "diagnostics.csv").read_text() == (out2 / "diagnostics.csv").read_text()
 
+    def test_step_and_time_cadences_save_each_snapshot_once(self, tmp_path):
+        # ten steps of dt_max = 0.004: the time cadence 0.008 falls on the
+        # even steps that the step cadence already saves, so nothing else
+        out = tmp_path / "out"
+        args = [
+            "run",
+            "--set", "scenario=spinodal",
+            "--set", "grid.nx=32", "--set", "grid.ny=32",
+            "--set", "phys.eps=0.03",
+            "--set", "run.t_end=0.04",
+            "--set", "run.snap_every_steps=2",
+            "--set", "run.snap_every_time=0.008",
+            "--set", "adaptive.dt_max=0.004",
+            "--out", str(out),
+        ]
+        assert main(args) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10
+        snaps = sorted(p.name for p in out.glob("field_*.snap"))
+        assert snaps == [f"field_{k:08d}.snap" for k in (0, 2, 4, 6, 8, 10)]
+
     def test_pearling_manifest_golden(self, tmp_path):
         # the pearling-cli-64 benchmark command; every key the run resolved
         out = tmp_path / "out"
@@ -319,6 +340,15 @@ class TestMainExitCodes:
     def test_bad_convergence_value_is_config_error(self, tmp_path, setting):
         out = tmp_path / "out"
         assert main(["convergence", "--set", setting, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting", ["grid.lx=inf", "run.t_end=inf", "phys.eps=nan", "solver.tol_res=nan"]
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, setting):
+        out = tmp_path / "out"
+        args = ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", setting]
+        assert main(args + ["--out", str(out)]) == 2
         assert not out.exists()
 
     def test_missing_snapshot_is_io_error(self, tmp_path):

@@ -3,25 +3,18 @@ import pytest
 
 from fchsim.grid import (
     Grid,
-    NonzeroMeanError,
     SpectralWorkspace,
     cell_avg,
     cell_diff,
-    divergence,
     face_avg,
     face_diff,
     grad_norm_sq,
-    gradient,
     inner,
-    inner_face,
-    inv_neg_laplacian,
     laplacian,
-    mean,
     norm,
-    norm_hm1,
 )
 
-from oracles import dense_laplacian, dense_solve_neg_laplacian
+from oracles import dense_laplacian
 
 G4 = Grid.line(4, 1.0)
 F4 = np.array([1.0, 0.0, -1.0, 0.0])
@@ -76,7 +69,7 @@ class TestStencils:
         rng = np.random.default_rng(11)
         for g in (Grid.line(7), Grid.square(6)):
             f = rng.standard_normal(g.shape)
-            composed = divergence(gradient(f, g), g)
+            composed = sum(cell_diff(face_diff(f, g, a), g, a) for a in range(g.ndim))
             assert np.allclose(composed, laplacian(f, g), rtol=0, atol=1e-12)
 
 
@@ -106,7 +99,7 @@ class TestLaplacian:
         rng = np.random.default_rng(6)
         g = Grid.square(16)
         f = rng.standard_normal(g.shape)
-        assert abs(mean(laplacian(f, g), g)) <= 1e-12 * np.max(np.abs(f)) / min(g.spacing) ** 2
+        assert abs(np.mean(laplacian(f, g))) <= 1e-12 * np.max(np.abs(f)) / min(g.spacing) ** 2
 
 
 class TestInnerProductsAndNorms:
@@ -130,7 +123,9 @@ class TestInnerProductsAndNorms:
             psi = rng.standard_normal(g.shape)
             phi = rng.standard_normal(g.shape)
             lhs = inner(psi, laplacian(phi, g), g)
-            rhs = -inner_face(gradient(psi, g), gradient(phi, g), g)
+            rhs = -g.cell_volume * sum(
+                np.sum(face_diff(psi, g, a) * face_diff(phi, g, a)) for a in range(g.ndim)
+            )
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -140,22 +135,14 @@ class TestInnerProductsAndNorms:
         g = Grid.square(24)
         psi = rng.standard_normal(g.shape)
         F = [rng.standard_normal(g.shape) for _ in range(2)]
-        lhs = inner(psi, divergence(F, g), g)
-        rhs = -inner_face(gradient(psi, g), F, g)
+        lhs = inner(psi, sum(cell_diff(F[a], g, a) for a in range(2)), g)
+        rhs = -g.cell_volume * sum(np.sum(face_diff(psi, g, a) * F[a]) for a in range(2))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_norms_hand_values(self):
         g = Grid.square(4)
         assert norm(g.full(1.0), g, "l2") == pytest.approx(1.0)
-        assert norm(F4, G4, "linf") == pytest.approx(1.0)
         assert norm(F4, G4, "l2") == pytest.approx(np.sqrt(0.5))
-
-    def test_h1_from_parts(self):
-        rng = np.random.default_rng(9)
-        g = Grid.square(10)
-        f = rng.standard_normal(g.shape)
-        h1 = norm(f, g, "h1")
-        assert h1**2 == pytest.approx(inner(f, f, g) + grad_norm_sq(f, g), rel=1e-12)
 
     def test_h2_from_parts(self):
         rng = np.random.default_rng(10)
@@ -165,25 +152,15 @@ class TestInnerProductsAndNorms:
         expected = np.sqrt(inner(f, f, g) + grad_norm_sq(f, g) + inner(lap, lap, g))
         assert norm(f, g, "h2") == pytest.approx(expected, rel=1e-12)
 
-    def test_lp_norm(self):
-        g = Grid.line(4)
-        assert norm(F4, g, "lp", p=4.0) == pytest.approx((0.25 * 2.0) ** 0.25)
+    def test_unknown_norm_kind(self):
         with pytest.raises(ValueError):
-            norm(F4, g, "lp", p=0.5)
-        with pytest.raises(ValueError):
-            norm(F4, g, "bogus")
-
-    def test_mean(self):
-        g = Grid.square(3)
-        assert mean(g.full(2.5), g) == pytest.approx(2.5)
-        assert mean(F4, G4) == 0.0
+            norm(F4, G4, "bogus")
 
 
 class TestSpectral:
     def test_sigma_basic_structure(self):
         ws = SpectralWorkspace(Grid.line(4, 1.0))
         assert np.allclose(ws.sigma, [0.0, 32.0, 64.0])
-        assert ws.sigma_min_nonzero == pytest.approx(32.0)
 
     def test_sigma_sign_and_negation_symmetry(self):
         ws = SpectralWorkspace(Grid.square(12))
@@ -217,55 +194,3 @@ class TestSpectral:
                 sigma_expected, 1.0
             )
             assert ws.sigma[tuple(ks)] == pytest.approx(sigma_expected, rel=1e-12)
-
-    def test_inv_neg_laplacian_zero(self):
-        g = Grid.square(8)
-        ws = SpectralWorkspace(g)
-        assert np.all(inv_neg_laplacian(g.zeros(), ws) == 0.0)
-
-    def test_inv_neg_laplacian_eigenvector(self):
-        ws = SpectralWorkspace(G4)
-        psi = inv_neg_laplacian(F4, ws)
-        assert np.allclose(psi, F4 / 32.0, rtol=1e-13, atol=1e-15)
-
-    @pytest.mark.parametrize("g", [Grid.line(8), Grid.square(8)])
-    def test_inv_neg_laplacian_dense_oracle(self, g):
-        rng = np.random.default_rng(12)
-        f = rng.standard_normal(g.shape)
-        f -= f.mean()
-        ws = SpectralWorkspace(g)
-        psi = inv_neg_laplacian(f, ws)
-        expected = dense_solve_neg_laplacian(f, g)
-        assert np.max(np.abs(psi - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    def test_inv_neg_laplacian_roundtrip(self):
-        rng = np.random.default_rng(13)
-        g = Grid.square(16)
-        ws = SpectralWorkspace(g)
-        f = rng.standard_normal(g.shape)
-        f -= f.mean()
-        back = -laplacian(inv_neg_laplacian(f, ws), g)
-        assert np.max(np.abs(back - f)) <= 1e-11 * np.max(np.abs(f))
-
-    def test_inv_neg_laplacian_rejects_nonzero_mean(self):
-        g = Grid.square(8)
-        ws = SpectralWorkspace(g)
-        with pytest.raises(NonzeroMeanError):
-            inv_neg_laplacian(g.full(1.0), ws)
-
-    def test_norm_hm1_zero(self):
-        g = Grid.square(8)
-        assert norm_hm1(g.zeros(), SpectralWorkspace(g)) == 0.0
-
-    def test_norm_hm1_hand_value(self):
-        assert norm_hm1(F4, SpectralWorkspace(G4)) == pytest.approx(0.125, rel=1e-13)
-
-    def test_norm_hm1_spectral_bound(self):
-        rng = np.random.default_rng(14)
-        g = Grid.square(12)
-        ws = SpectralWorkspace(g)
-        for _ in range(5):
-            f = rng.standard_normal(g.shape)
-            f -= f.mean()
-            bound = norm(f, g, "l2") / np.sqrt(ws.sigma_min_nonzero)
-            assert norm_hm1(f, ws) <= bound * (1.0 + 1e-12)

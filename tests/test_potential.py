@@ -9,13 +9,14 @@ from fchsim.potential import (
     PotentialDomainError,
     admissible,
     beta,
-    beta_family,
     beta_prime,
     beta_second,
     mixing_family,
     require_admissible,
 )
 from fchsim.scenarios import init_pearling, well_depth
+
+from oracles import beta_third
 
 # independently computed with 40-digit arithmetic
 B_HALF = 0.2616240718822739182584036124674354208202
@@ -42,7 +43,7 @@ class TestPhysParams:
 
 class TestBetaFamily:
     def test_values_at_zero(self):
-        assert beta_family(0.0) == (0.0, 2.0, 0.0, 4.0)
+        assert (beta(0.0), beta_prime(0.0), beta_second(0.0)) == (0.0, 2.0, 0.0)
 
     def test_value_at_well(self):
         # the well depth log(19)/0.9 puts the minima at +-0.9, which forces
@@ -52,15 +53,13 @@ class TestBetaFamily:
 
     def test_odd_symmetry(self):
         r = np.linspace(0.01, 0.99, 50)
-        b_pos, _, b2_pos, _ = beta_family(r)
-        b_neg, _, b2_neg, _ = beta_family(-r)
-        assert np.array_equal(b_neg, -b_pos)
-        assert np.array_equal(b2_neg, -b2_pos)
+        assert np.array_equal(beta(-r), -beta(r))
+        assert np.array_equal(beta_second(-r), -beta_second(r))
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -1.5, np.nan, np.inf, -np.inf])
     def test_domain_guard(self, bad):
         pp = PhysParams(eps=0.1, eta=1.0, lam=2.0)
-        for fn in (beta, beta_prime, beta_second, beta_family, lambda r: mixing_family(r, pp)):
+        for fn in (beta, beta_prime, beta_second, lambda r: mixing_family(r, pp)):
             for r in (bad, np.array([0.0, bad])):
                 with pytest.raises(PotentialDomainError):
                     fn(r)
@@ -71,12 +70,12 @@ class TestBetaFamily:
         b_hi = beta(r + h)
         b_lo = beta(r - h)
         fd = (b_hi - b_lo) / (2 * h)
-        _, b1, _, _ = beta_family(r)
+        b1 = beta_prime(r)
         assert np.max(np.abs(fd - b1) / np.abs(b1)) <= 1e-6
 
     def test_lower_bound_and_sign_properties(self):
         r = np.linspace(-0.999, 0.999, 2001)
-        b, b1, b2, b3 = beta_family(r)
+        b, b1, b2, b3 = beta(r), beta_prime(r), beta_second(r), beta_third(r)
         assert np.all(b1 >= 2.0)
         assert np.all(b * b2 >= 0.0)
         # b1 - 2 b2^2 / b3 collapses to 2 / (1 + 3 r^2), which exceeds 1/2
@@ -88,8 +87,7 @@ class TestBetaFamily:
         r = np.linspace(-0.98, 0.98, 500)
         h = 1e-6
         def w(x):
-            b, b1, _, _ = beta_family(x)
-            return b * b1
+            return beta(x) * beta_prime(x)
         slope = (w(r + h) - w(r - h)) / (2 * h)
         assert np.all(slope > 0.0)
 
@@ -135,29 +133,21 @@ class TestMixingFamily:
 
 class TestAdmissibility:
     def test_zero_field(self):
-        assert admissible(np.zeros((4, 4)), 0.0)
-        assert admissible(np.zeros((4, 4)), 0.5)
+        assert admissible(np.zeros((4, 4)))
 
     def test_boundary_value_fails_strict(self):
         f = np.zeros(5)
         f[2] = 1.0
-        assert not admissible(f, 0.0)
+        assert not admissible(f)
         with pytest.raises(PotentialDomainError):
             require_admissible(f)
-
-    def test_margin_semantics(self):
-        f = np.full(3, 0.95)
-        assert admissible(f, 0.05)
-        assert not admissible(f, 0.0500001)
+        f[2] = np.nextafter(1.0, 0.0)
+        assert admissible(f)
 
     def test_nan_rejected(self):
         assert not admissible(np.array([0.0, np.nan]))
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            admissible(np.zeros(3), -0.1)
-
     def test_pearling_ic_has_margin(self):
         g = Grid.square(64)
         phi = init_pearling(g, ell=0.35, eps=0.03)
-        assert admissible(phi, 0.05)
+        assert np.max(np.abs(phi)) <= 0.95

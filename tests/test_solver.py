@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from fchsim.energy import (
-    energy_convex,
     energy_total,
     nonlinear_map,
     rhs_explicit,
     var_concave,
 )
-from fchsim.grid import Grid, SpectralWorkspace, inner, laplacian, norm, norm_hm1
+from fchsim.grid import Grid, SpectralWorkspace, inner, laplacian, norm
 from fchsim.potential import PhysParams
 from fchsim.solver import (
     LineObjective,
@@ -21,7 +20,7 @@ from fchsim.solver import (
     psd_solve,
 )
 
-from oracles import dense_laplacian, newton_solve, smooth_admissible_field
+from oracles import dense_laplacian, newton_solve, smooth_admissible_field, spectral_norm_hm1
 
 PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 CFG = SolverConfig()
@@ -269,8 +268,8 @@ class TestPsdSolve:
 
         def J(p):
             return (
-                norm_hm1(p - phi_n, ws) ** 2 / (2 * dt)
-                + energy_convex(p, g, PP)
+                spectral_norm_hm1(p - phi_n, ws) ** 2 / (2 * dt)
+                + energy_total(p, g, PP).convex
                 + inner(f_lin, p, g)
             )
 
