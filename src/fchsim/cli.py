@@ -234,6 +234,9 @@ def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     """
     resolved = _resolve(cfg)
     get = resolved.get
+    for key in ("run.t_end", "run.snap_every_time", "run.snap_every_steps"):
+        if get(key, 0) < 0:
+            raise ConfigError(f"{key} must not be negative, got {get(key)!r}")
     try:
         grid = Grid((get("grid.nx"), get("grid.ny")), (get("grid.lx"), get("grid.ly")))
     except ValueError as exc:
@@ -255,7 +258,11 @@ def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     snap_time = get("run.snap_every_time", 0.0)
     text_export = get("run.text_snapshots", False)
 
+    last_saved = 0
+
     def save(phi_now, *, time, step_index):
+        nonlocal last_saved
+        last_saved = step_index
         path = outdir / f"field_{step_index:08d}.snap"
         write_snapshot(
             path, phi_now, scn.grid, time=time, step=step_index, seed=scn.seed,
@@ -289,7 +296,8 @@ def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
             phi, scn.t_end, scn.grid, scn.phys, adaptive, solver, ws, sink=sink
         )
 
-    save(phi_end, time=scn.t_end, step_index=records[-1].step if records else 0)
+    if records and records[-1].step != last_saved:
+        save(phi_end, time=records[-1].t, step_index=records[-1].step)
     return 0
 
 

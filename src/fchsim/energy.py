@@ -25,6 +25,15 @@ N(phi_new) = f.
 The mixed gradient term is evaluated exactly as written, face-square then
 cell-average; the convexity of E_c depends on that ordering.  The biharmonic
 is two Laplacian applications, never a fused stencil.
+
+The stencil terms of var_convex that do not involve beta are its LinearTerms:
+lap^2 phi, the face differences D_axis phi and gsq = sum_axis avg(|D_axis phi|^2).
+var_convex and nonlinear_map build them from phi unless the caller passes
+them in.  The solver does: it builds them once per solve and moves them
+along each step phi + alpha d (the first two are linear in phi, gsq is
+quadratic), so its residual at later iterates costs the pointwise beta
+terms, the divergence term and one Laplacian.  Terms built from phi itself
+give exactly the from-scratch result.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ from .potential import (
 
 __all__ = [
     "EnergyBreakdown",
+    "LinearTerms",
+    "linear_terms",
     "avg_grad_sq",
     "energy_total",
     "var_convex",
@@ -79,13 +90,38 @@ class EnergyBreakdown:
     willmore: float
 
 
+@dataclass
+class LinearTerms:
+    """The stencil terms of var_convex at phi that do not involve beta.
+
+    ``bilap`` is lap^2 phi, ``dphi`` holds the face differences D_axis phi
+    per axis and ``gsq`` is the cell field sum_axis avg(|D_axis phi|^2).  The
+    first two are linear in phi and ``gsq`` is quadratic, so the solver can
+    move all three along a step phi + alpha d without rebuilding them.
+    """
+
+    bilap: np.ndarray
+    dphi: list[np.ndarray]
+    gsq: np.ndarray
+
+
+def linear_terms(phi: np.ndarray, grid: Grid) -> LinearTerms:
+    """Build the LinearTerms of phi from its stencils."""
+    dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
+    return LinearTerms(laplacian(laplacian(phi, grid), grid), dphi, _avg_sq(dphi, grid))
+
+
+def _avg_sq(faces: list[np.ndarray], grid: Grid) -> np.ndarray:
+    """Cell field sum_axis avg(faces[axis]^2)."""
+    out = cell_avg(faces[0] * faces[0], grid, 0)
+    for a in range(1, grid.ndim):
+        out += cell_avg(faces[a] * faces[a], grid, a)
+    return out
+
+
 def avg_grad_sq(phi: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell field sum_axis a_axis(|D_axis phi|^2)."""
-    out = np.zeros_like(phi)
-    for a in range(grid.ndim):
-        d = face_diff(phi, grid, a)
-        out += cell_avg(d * d, grid, a)
-    return out
+    return _avg_sq([face_diff(phi, grid, a) for a in range(grid.ndim)], grid)
 
 
 def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown:
@@ -122,21 +158,32 @@ def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown
     )
 
 
-def var_convex(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
-    """Variational derivative of the convex energy part."""
+def var_convex(
+    phi: np.ndarray, grid: Grid, pp: PhysParams, terms: LinearTerms | None = None
+) -> np.ndarray:
+    """Variational derivative of the convex energy part.
+
+    ``terms`` may carry the LinearTerms of phi; they are built from phi when
+    not given.
+    """
     require_admissible(phi, "variational derivative argument")
-    b = beta(phi)
+    if terms is None:
+        terms = linear_terms(phi, grid)
     b1 = beta_prime(phi)
-    b2 = beta_second(phi)
-    out = pp.eps**4 * laplacian(laplacian(phi, grid), grid)
-    out += b * b1
+    out = pp.eps**4 * terms.bilap
+    b = beta(phi)
+    out += np.multiply(b, b1, out=b)
     out += pp.lam * (pp.lam + pp.eps_p_eta) * phi
-    mixed = np.zeros_like(phi)
+    mixed = beta_second(phi)
+    mixed *= terms.gsq
     for a in range(grid.ndim):
-        d = face_diff(phi, grid, a)
-        mixed += b2 * cell_avg(d * d, grid, a)
-        mixed -= 2.0 * cell_diff(face_avg(b1, grid, a) * d, grid, a)
-    out += pp.eps**2 * mixed
+        flux = face_avg(b1, grid, a)
+        flux *= terms.dphi[a]
+        div = cell_diff(flux, grid, a)
+        div *= 2.0
+        mixed -= div
+    mixed *= pp.eps**2
+    out += mixed
     return out
 
 
@@ -150,11 +197,20 @@ def var_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
     )
 
 
-def nonlinear_map(phi: np.ndarray, dt: float, grid: Grid, pp: PhysParams) -> np.ndarray:
-    """Implicit side of one step: N(phi) = phi/dt - lap var_convex(phi)."""
+def nonlinear_map(
+    phi: np.ndarray,
+    dt: float,
+    grid: Grid,
+    pp: PhysParams,
+    terms: LinearTerms | None = None,
+) -> np.ndarray:
+    """Implicit side of one step: N(phi) = phi/dt - lap var_convex(phi).
+
+    ``terms`` is passed on to var_convex.
+    """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    return phi / dt - laplacian(var_convex(phi, grid, pp), grid)
+    return phi / dt - laplacian(var_convex(phi, grid, pp, terms), grid)
 
 
 def rhs_explicit(phi_old: np.ndarray, dt: float, grid: Grid, pp: PhysParams) -> np.ndarray:

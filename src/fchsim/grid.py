@@ -115,17 +115,27 @@ def _check_same_grid(f: np.ndarray, g: np.ndarray, grid: Grid) -> None:
 
 
 # cell -> face stencils
+#
+# Each stencil builds its result in the array np.roll returns and updates it
+# in place: the same operations in the same order as the plain expressions
+# in the docstrings, so the results are bit-identical, without their
+# temporaries.
 
 
 def face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Forward difference onto faces: (f_{i+1} - f_i) / h."""
-    h = grid.spacing[axis]
-    return (np.roll(f, -1, axis=axis) - f) / h
+    out = np.roll(f, -1, axis=axis)
+    out -= f
+    out /= grid.spacing[axis]
+    return out
 
 
 def face_avg(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Forward average onto faces: (f_{i+1} + f_i) / 2."""
-    return 0.5 * (np.roll(f, -1, axis=axis) + f)
+    out = np.roll(f, -1, axis=axis)
+    out += f
+    out *= 0.5
+    return out
 
 
 # face -> cell stencils
@@ -133,21 +143,36 @@ def face_avg(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 def cell_diff(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Difference of the two faces of a cell: (g_{i+1/2} - g_{i-1/2}) / h."""
-    h = grid.spacing[axis]
-    return (g - np.roll(g, 1, axis=axis)) / h
+    out = np.roll(g, 1, axis=axis)
+    np.subtract(g, out, out=out)
+    out /= grid.spacing[axis]
+    return out
 
 
 def cell_avg(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Average of the two faces of a cell: (g_{i+1/2} + g_{i-1/2}) / 2."""
-    return 0.5 * (g + np.roll(g, 1, axis=axis))
+    out = np.roll(g, 1, axis=axis)
+    out += g
+    out *= 0.5
+    return out
 
 
 def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Standard 3/5-point periodic Laplacian (div of grad)."""
-    out = np.zeros_like(f)
+    """Standard 3/5-point periodic Laplacian (div of grad).
+
+    Per axis (f_{i+1} - 2 f_i + f_{i-1}) / h^2, summed over axes.
+    """
+    two_f = 2.0 * f
+    out = None
     for a in range(grid.ndim):
-        h2 = grid.spacing[a] ** 2
-        out += (np.roll(f, -1, axis=a) - 2.0 * f + np.roll(f, 1, axis=a)) / h2
+        term = np.roll(f, -1, axis=a)
+        term -= two_f
+        term += np.roll(f, 1, axis=a)
+        term /= grid.spacing[a] ** 2
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 

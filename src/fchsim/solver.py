@@ -34,6 +34,23 @@ iterate keeps a fraction of its current distance to the pure states +-1,
 where the logarithmic terms blow up; if the root lies beyond that cap the
 capped step is taken (it still decreases the objective) and later
 iterations re-center.
+
+The iteration carries one iterate state: phi and its LinearTerms (lap^2 phi,
+the face differences D phi per axis and gsq = sum_axis avg(|D phi|^2), see
+``fchsim.energy``).  They are built from phi once, at the first iterate.
+The line objective reads its phi side from them and computes only the d
+side (lap d, lap^2 d, D d and the gsq coefficients B and C); after the line
+search the state moves in place by the step taken,
+
+    lap^2 phi += alpha lap^2 d,   D phi += alpha D d,
+    gsq += alpha (2 B + alpha C),
+
+and the residual at the next iterate uses the moved terms.  The moved terms
+drift from a rebuild by round-off, so only a residual from scratch may end a
+solve: when the carried residual meets the tolerance, N(phi) is recomputed
+without the state, and only that residual can stop the iteration and be
+reported.  If it misses, the state is rebuilt from phi and the iteration
+goes on.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, SpectralWorkspace, cell_avg, face_avg, face_diff, laplacian
-from .energy import nonlinear_map, rhs_explicit
+from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit
 from .potential import PhysParams, PotentialDomainError, require_admissible
 
 __all__ = [
@@ -151,8 +168,10 @@ def precond_solve(
     sym = precond_symbol(ws, dt, pp, cfg)
     rhat = ws.forward(r - np.mean(r))
     rhat[(0,) * rhat.ndim] = 0.0
-    d = ws.inverse(rhat / sym)
-    return d - np.mean(d)
+    rhat /= sym
+    d = ws.inverse(rhat)
+    d -= np.mean(d)
+    return d
 
 
 def admissible_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> float:
@@ -175,7 +194,10 @@ class LineObjective:
     All stencil quantities that are linear or quadratic in alpha are
     precomputed once, so one evaluation costs only the pointwise potential
     terms plus a couple of face averages.  Inner products against the
-    divergence-form terms are moved onto faces by summation-by-parts.
+    divergence-form terms are moved onto faces by summation-by-parts.  The
+    phi side comes from ``terms``, the LinearTerms of phi (built from phi
+    when not given); only the d side is computed here.  Evaluations work in
+    place in four scratch fields allocated with the objective.
     """
 
     def __init__(
@@ -186,80 +208,120 @@ class LineObjective:
         dt: float,
         grid: Grid,
         pp: PhysParams,
+        terms: LinearTerms | None = None,
     ):
+        if terms is None:
+            terms = linear_terms(phi, grid)
         self.phi = phi
         self.d = d
         self.grid = grid
         self.pp = pp
+        self.terms = terms
+        self._work = [np.empty_like(phi) for _ in range(4)]
+        work = self._work[0]
+
+        def dot(u: np.ndarray, v: np.ndarray) -> float:
+            return float(np.sum(np.multiply(u, v, out=work)))
+
         vol = grid.cell_volume
         c_quad = pp.lam * (pp.lam + pp.eps_p_eta)
         lap_d = laplacian(d, grid)
-        lap_phi = laplacian(phi, grid)
-        bilap_phi = laplacian(lap_phi, grid)
         bilap_d = laplacian(lap_d, grid)
         # <N(phi_a), d> linear-in-alpha pieces: phi_a/dt and the linear
         # part of var_convex hit with the Laplacian moved onto d.
         self._lin0 = vol * (
-            float(np.sum(phi * d)) / dt
-            - pp.eps**4 * float(np.sum(bilap_phi * lap_d))
-            - c_quad * float(np.sum(phi * lap_d))
-        ) - vol * float(np.sum(f_rhs * d))
+            dot(phi, d) / dt
+            - pp.eps**4 * dot(terms.bilap, lap_d)
+            - c_quad * dot(phi, lap_d)
+        ) - vol * dot(f_rhs, d)
         self._lin1 = vol * (
-            float(np.sum(d * d)) / dt
-            - pp.eps**4 * float(np.sum(bilap_d * lap_d))
-            - c_quad * float(np.sum(d * lap_d))
+            dot(d, d) / dt - pp.eps**4 * dot(bilap_d, lap_d) - c_quad * dot(d, lap_d)
         )
         self.lap_d = lap_d
-        # Face data for the nonlinear gradient terms: D phi, D d, and the
-        # products with D(lap d) the per-axis face inner products need.
-        dphi_faces = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-        dd_faces = [face_diff(d, grid, a) for a in range(grid.ndim)]
-        dlap_faces = [face_diff(lap_d, grid, a) for a in range(grid.ndim)]
-        self._face_p = [dphi_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
-        self._face_q = [dd_faces[a] * dlap_faces[a] for a in range(grid.ndim)]
-        # avg(|D phi_a|^2) = A + 2 alpha B + alpha^2 C, summed over axes.
-        A = np.zeros_like(phi)
+        self._bilap_d = bilap_d
+        # Face data for the nonlinear gradient terms: D d, and the products
+        # of D phi and D d with D(lap d) the per-axis face inner products need.
+        self._dd = [face_diff(d, grid, a) for a in range(grid.ndim)]
+        self._face_p = []
+        self._face_q = []
+        for a in range(grid.ndim):
+            dlap = face_diff(lap_d, grid, a)
+            self._face_p.append(terms.dphi[a] * dlap)
+            dlap *= self._dd[a]
+            self._face_q.append(dlap)
+        # avg(|D phi_a|^2) = A + alpha (2 B + alpha C), summed over axes.
         B = np.zeros_like(phi)
         C = np.zeros_like(phi)
-        for a in range(grid.ndim):
-            A += cell_avg(dphi_faces[a] ** 2, grid, a)
-            B += cell_avg(dphi_faces[a] * dd_faces[a], grid, a)
-            C += cell_avg(dd_faces[a] ** 2, grid, a)
-        self._gsq_0, self._gsq_1, self._gsq_2 = A, B, C
+        for a, dd in enumerate(self._dd):
+            B += cell_avg(np.multiply(terms.dphi[a], dd, out=work), grid, a)
+            C += cell_avg(np.multiply(dd, dd, out=work), grid, a)
+        B *= 2.0
+        self._gsq_a, self._gsq_2b, self._gsq_c = terms.gsq, B, C
         self._vol = vol
         self.evals = 0
 
     def __call__(self, alpha: float) -> float:
         pp = self.pp
-        grid = self.grid
         self.evals += 1
-        phi_a = self.phi + alpha * self.d
-        one_minus = 1.0 - phi_a * phi_a
+        phi_a, one_minus, num, work = self._work
+        np.multiply(self.d, alpha, out=phi_a)
+        phi_a += self.phi
+        np.multiply(phi_a, phi_a, out=one_minus)
+        np.subtract(1.0, one_minus, out=one_minus)
         if np.min(one_minus) <= 0.0:
             raise PotentialDomainError(
                 f"line-search trial alpha = {alpha!r} left the phase domain"
             )
-        b = np.log1p(phi_a) - np.log1p(-phi_a)
-        b1 = 2.0 / one_minus
-        gsq = self._gsq_0 + alpha * (2.0 * self._gsq_1 + alpha * self._gsq_2)
-
         # Pointwise var_convex terms against lap(d):
-        # b b1 + eps^2 b2 gsq = (2 b one_minus + 4 eps^2 phi gsq) / one_minus^2.
-        num = 2.0 * b * one_minus + (4.0 * pp.eps**2) * phi_a * gsq
-        pointwise = -self._vol * float(np.sum(num / (one_minus * one_minus) * self.lap_d))
+        # b b1 + eps^2 b2 gsq = (2 b one_minus + 4 eps^2 phi gsq) / one_minus^2,
+        # with b = log1p(phi_a) - log1p(-phi_a) and gsq = A + alpha (2 B + alpha C).
+        np.log1p(phi_a, out=num)
+        num -= np.log1p(np.negative(phi_a, out=work), out=work)
+        num *= 2.0
+        num *= one_minus
+        gsq = np.multiply(self._gsq_c, alpha, out=work)
+        gsq += self._gsq_2b
+        gsq *= alpha
+        gsq += self._gsq_a
+        phi_a *= 4.0 * pp.eps**2
+        gsq *= phi_a
+        num += gsq
+        num /= np.multiply(one_minus, one_minus, out=work)
+        num *= self.lap_d
+        pointwise = -self._vol * float(np.sum(num))
         # Divergence term moved onto faces: <lap d, d_a(avg(b1) Dphi_a)>
         # = -[D_a lap d, avg(b1) Dphi_a]; it enters var_convex with factor -2,
-        # and var_convex enters g negated, giving -2 overall.
+        # and var_convex enters g negated, giving -2 overall.  b1 = 2 / one_minus.
+        b1 = np.divide(2.0, one_minus, out=one_minus)
         face_sum = 0.0
-        for a in range(grid.ndim):
-            avg_b1 = face_avg(b1, grid, a)
-            face_sum += float(np.sum(avg_b1 * (self._face_p[a] + alpha * self._face_q[a])))
+        for a in range(self.grid.ndim):
+            avg_b1 = face_avg(b1, self.grid, a)
+            flux = np.multiply(self._face_q[a], alpha, out=work)
+            flux += self._face_p[a]
+            avg_b1 *= flux
+            face_sum += float(np.sum(avg_b1))
         return (
             self._lin0
             + alpha * self._lin1
             + pointwise
             - 2.0 * pp.eps**2 * self._vol * face_sum
         )
+
+    def advance(self, alpha: float) -> None:
+        """Move ``terms`` in place to phi + alpha d; the objective is spent after.
+
+        bilap += alpha lap^2 d, dphi += alpha D d and gsq += alpha (2 B + alpha C),
+        with the d-side arrays scaled in place so that nothing is allocated.
+        """
+        terms = self.terms
+        terms.bilap += np.multiply(self._bilap_d, alpha, out=self._bilap_d)
+        for dphi, dd in zip(terms.dphi, self._dd):
+            dphi += np.multiply(dd, alpha, out=dd)
+        step = self._gsq_c
+        step *= alpha
+        step += self._gsq_2b
+        step *= alpha
+        terms.gsq += step
 
 
 def line_minimize(
@@ -273,6 +335,7 @@ def line_minimize(
     g0: float | None = None,
     hint: float | None = None,
     exhausted: list[float] | None = None,
+    terms: LinearTerms | None = None,
 ) -> tuple[float, int]:
     """Root of g(alpha) inside the admissible interval.
 
@@ -283,20 +346,36 @@ def line_minimize(
     bracket with the previous accepted step length.  When the evaluation
     budget runs out inside a valid bracket, the best point seen is returned
     and, if ``exhausted`` is given, its |g| relative to |g(0)| is appended.
+    ``terms`` may carry the LinearTerms of phi: the objective reads its phi
+    side from them, and on return they have been moved in place to
+    phi + alpha d.
     """
     require_admissible(phi, "line search base point")
     if not np.any(d):
         return 0.0, 0
 
-    g = LineObjective(phi, d, f_rhs, dt, grid, pp)
-    cap = admissible_step_cap(phi, d, cfg.ls_margin)
+    g = LineObjective(phi, d, f_rhs, dt, grid, pp, terms)
+    alpha = _root(g, admissible_step_cap(phi, d, cfg.ls_margin), cfg, g0, hint, exhausted)
+    if terms is not None and alpha != 0.0:
+        g.advance(alpha)
+    return alpha, g.evals
 
+
+def _root(
+    g: LineObjective,
+    cap: float,
+    cfg: SolverConfig,
+    g0: float | None,
+    hint: float | None,
+    exhausted: list[float] | None,
+) -> float:
+    """The line search of ``line_minimize`` on a built objective."""
     if g0 is None:
         g0 = g(0.0)
     scale = abs(g0)
     if scale == 0.0 or g0 > 0.0:
         # No descent left along d at this scale; converged step.
-        return 0.0, g.evals
+        return 0.0
     tol = cfg.ls_tol * scale
 
     lo, g_lo = 0.0, g0
@@ -313,14 +392,14 @@ def line_minimize(
         if g_hi >= 0.0:
             break
         if at_cap:
-            return hi, g.evals
+            return hi
         lo, g_lo = hi, g_hi
         hi *= 2.0
         if hi >= cap:
             hi = cap
             at_cap = True
     if abs(g_hi) <= tol:
-        return hi, g.evals
+        return hi
 
     # Secant with bisection safeguarding on the bracket [lo, hi].  Near
     # convergence g sits at the floating-point noise floor and |g| <= tol may
@@ -332,7 +411,7 @@ def line_minimize(
     while g.evals < cfg.ls_max:
         width = hi - lo
         if width <= 1e-14 * max(1.0, hi):
-            return best_alpha, g.evals
+            return best_alpha
         denom = g_hi - g_lo
         alpha = hi - g_hi * width / denom if denom != 0 and not force_bisect else 0.5 * (lo + hi)
         if not (lo < alpha < hi):
@@ -341,7 +420,7 @@ def line_minimize(
         if abs(val) < best_val:
             best_alpha, best_val = alpha, abs(val)
         if abs(val) <= tol:
-            return alpha, g.evals
+            return alpha
         if val < 0.0:
             lo, g_lo = alpha, val
         else:
@@ -351,7 +430,7 @@ def line_minimize(
     # best point seen.
     if exhausted is not None:
         exhausted.append(best_val / scale)
-    return best_alpha, g.evals
+    return best_alpha
 
 
 def psd_solve(
@@ -372,7 +451,9 @@ def psd_solve(
     preconditioned residual <z, r> grows, and when the conjugate direction is
     not a descent direction (see the module docstring).  The returned state
     has the same mean as phi_n to round-off (every search direction is
-    mean-zero) and is strictly admissible.
+    mean-zero) and is strictly admissible.  The iterations in between use
+    the carried iterate state; only a residual recomputed from scratch ends
+    the solve and is reported (see the module docstring).
 
     ``phi_init`` may supply a better starting iterate (the adaptive driver
     passes a linear extrapolation of the two previous states); it is used
@@ -405,6 +486,8 @@ def psd_solve(
         candidate = phi_init + (np.mean(phi_n) - np.mean(phi_init))
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
+    terms = linear_terms(phi, grid)
+    fresh = True  # terms built from phi give the from-scratch residual
     ls_evals_total = 0
     restarts = 0
     exhausted: list[float] = []
@@ -412,8 +495,15 @@ def psd_solve(
     d = r_prev = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
-        r = f - nonlinear_map(phi, dt, grid, pp)
+        r = f - nonlinear_map(phi, dt, grid, pp, terms)
         res = float(np.sqrt(vol * np.sum(r * r)))
+        if res <= tol and not fresh:
+            # The carried terms drift by round-off: only a residual from
+            # scratch may end the solve.  If it misses, start over from phi.
+            r = f - nonlinear_map(phi, dt, grid, pp)
+            res = float(np.sqrt(vol * np.sum(r * r)))
+            if res > tol:
+                terms = linear_terms(phi, grid)
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
             return phi, SolveReport(
@@ -438,7 +528,8 @@ def psd_solve(
             d = z
             g0 = -vol * zr
         alpha, evals = line_minimize(
-            phi, d, f, dt, grid, pp, cfg, g0=g0, hint=alpha_prev, exhausted=exhausted
+            phi, d, f, dt, grid, pp, cfg,
+            g0=g0, hint=alpha_prev, exhausted=exhausted, terms=terms,
         )
         ls_evals_total += evals
         if alpha == 0.0:
@@ -448,6 +539,7 @@ def psd_solve(
                 iterations=it,
             )
         alpha_prev = alpha
-        phi = phi + alpha * d
+        phi += alpha * d
+        fresh = False
         r_prev, zr_prev = r, zr
     raise AssertionError("unreachable")

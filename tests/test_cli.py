@@ -238,6 +238,48 @@ class TestCommands:
         snaps = sorted(p.name for p in out.glob("field_*.snap"))
         assert snaps == [f"field_{k:08d}.snap" for k in (0, 2, 4, 6, 8, 10)]
 
+    def test_final_snapshot_written_once(self, tmp_path, monkeypatch):
+        # the step cadence already saves the last step; the closing save must
+        # not write it again, and each file carries its step's own time
+        import fchsim.cli
+
+        writes = []
+
+        def counting_write(path, *args, **kwargs):
+            writes.append(path)
+            return write_snapshot(path, *args, **kwargs)
+
+        monkeypatch.setattr(fchsim.cli, "write_snapshot", counting_write)
+        out = tmp_path / "out"
+        assert main([
+            "run", "--set", "scenario=spinodal", "--set", "grid.nx=16",
+            "--set", "grid.ny=16", "--set", "phys.eps=0.1", "--set", "run.t_end=0.005",
+            "--set", "adaptive.dt_max=0.002", "--set", "run.snap_every_steps=1",
+            "--out", str(out),
+        ]) == 0
+        snaps = sorted(out.glob("field_*.snap"))
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(writes) == len(snaps) == len(rows) + 1
+        last = dict(zip(DIAGNOSTICS_COLUMNS.split(","), rows[-1].split(",")))
+        _, meta = read_snapshot(snaps[-1])
+        assert (meta.step, meta.time) == (int(last["step"]), float(last["t"]))
+
+    def test_final_snapshot_off_cadence(self, tmp_path):
+        # three steps with a cadence of two: the last step is saved at the end
+        out = tmp_path / "out"
+        assert main([
+            "run", "--set", "scenario=spinodal", "--set", "grid.nx=16",
+            "--set", "grid.ny=16", "--set", "phys.eps=0.1", "--set", "run.t_end=0.006",
+            "--set", "adaptive.dt_max=0.002", "--set", "run.snap_every_steps=2",
+            "--out", str(out),
+        ]) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        snaps = sorted(p.name for p in out.glob("field_*.snap"))
+        assert snaps == [f"field_{k:08d}.snap" for k in (0, 2, 3)]
+        _, meta = read_snapshot(out / snaps[-1])
+        assert meta.time == float(rows[-1].split(",")[1])
+
     def test_pearling_manifest_golden(self, tmp_path):
         # the pearling-cli-64 benchmark command; every key the run resolved
         out = tmp_path / "out"
@@ -346,6 +388,15 @@ class TestMainExitCodes:
         "setting", ["grid.lx=inf", "run.t_end=inf", "phys.eps=nan", "solver.tol_res=nan"]
     )
     def test_non_finite_value_is_config_error(self, tmp_path, setting):
+        out = tmp_path / "out"
+        args = ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", setting]
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting", ["run.t_end=-1", "run.snap_every_time=-0.5", "run.snap_every_steps=-3"]
+    )
+    def test_negative_horizon_or_cadence_is_config_error(self, tmp_path, setting):
         out = tmp_path / "out"
         args = ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", setting]
         assert main(args + ["--out", str(out)]) == 2

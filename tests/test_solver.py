@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fchsim.solver
 from fchsim.energy import (
     energy_total,
+    linear_terms,
     nonlinear_map,
     rhs_explicit,
     var_concave,
@@ -118,16 +120,31 @@ class TestLineSearch:
         assert abs(alpha) * np.max(np.abs(d)) <= 1e-10
 
     @pytest.mark.parametrize(
-        "g",
-        [Grid.square(8), Grid.line(16), Grid((6, 8), (2.0, 1.0)), Grid.square(9)],
-        ids=["square8", "line16", "rect6x8", "square9"],
+        "g, fed",
+        [
+            pytest.param(g, fed, id=name + ("-state" if fed else ""))
+            for fed in (False, True)
+            for g, name in [
+                (Grid.square(8), "square8"),
+                (Grid.line(16), "line16"),
+                (Grid((6, 8), (2.0, 1.0)), "rect6x8"),
+                (Grid.square(9), "square9"),
+            ]
+        ],
     )
-    def test_fast_objective_matches_naive(self, g):
+    def test_fast_objective_matches_naive(self, g, fed):
         g, ws, phi, rng, dt = make_instance(g, 35)
         f = rhs_explicit(phi, dt, g, PP)
+        terms = None
+        if fed:
+            # the terms a solve carries: built at phi, then moved by one step
+            terms = linear_terms(phi, g)
+            d = precond_solve(f - nonlinear_map(phi, dt, g, PP), dt, PP, CFG, ws)
+            alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG, terms=terms)
+            phi = phi + alpha * d
         r = f - nonlinear_map(phi, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
-        obj = LineObjective(phi, d, f, dt, g, PP)
+        obj = LineObjective(phi, d, f, dt, g, PP, terms)
         cap = admissible_step_cap(phi, d, CFG.ls_margin)
         for alpha in np.linspace(0.0, min(cap, 2.0), 9):
             naive = inner(nonlinear_map(phi + alpha * d, dt, g, PP) - f, d, g)
@@ -247,7 +264,63 @@ class TestPsdSolve:
         f = rhs_explicit(phi, dt, g, PP)
         res = norm(nonlinear_map(phi1, dt, g, PP) - f, g, "l2")
         assert res <= CFG.tol_res * max(1.0, norm(f, g, "l2")) * (1 + 1e-12)
-        assert report.residual == pytest.approx(res, rel=1e-6)
+        assert report.residual == pytest.approx(res, rel=1e-12)
+
+    def test_fresh_terms_give_the_from_scratch_map(self):
+        g, ws, phi, rng, dt = make_instance(Grid((6, 8), (2.0, 1.0)), 49)
+        with_terms = nonlinear_map(phi, dt, g, PP, linear_terms(phi, g))
+        assert np.array_equal(with_terms, nonlinear_map(phi, dt, g, PP))
+
+    def test_carried_terms_match_a_rebuild(self, monkeypatch):
+        # a multi-iteration solve on a spinodal state: the terms carried to
+        # each iterate agree with the ones rebuilt from it to within 50 ulps
+        # of the field's size per iteration
+        from fchsim.scenarios import init_spinodal, well_depth
+
+        g = Grid.square(32)
+        pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
+        cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-9)
+        carried = []
+        real = fchsim.solver.nonlinear_map
+
+        def spy(phi, dt, grid, pp, terms=None):
+            if terms is not None:
+                carried.append((phi.copy(), terms.bilap.copy(), [a.copy() for a in terms.dphi],
+                                terms.gsq.copy()))
+            return real(phi, dt, grid, pp, terms)
+
+        monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
+        _, report = psd_solve(init_spinodal(g, 3), 2e-4, g, pp, cfg, SpectralWorkspace(g))
+        assert report.iterations >= 5 and len(carried) == report.iterations + 1
+        for it, (phi, bilap, dphi, gsq) in enumerate(carried):
+            fresh = linear_terms(phi, g)
+            bound = 50 * np.finfo(float).eps * max(it, 1)
+            for got, want in [(bilap, fresh.bilap), (gsq, fresh.gsq), *zip(dphi, fresh.dphi)]:
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    def test_only_a_from_scratch_residual_ends_the_solve(self, monkeypatch):
+        # the carried residual at the first step reads zero; the residual from
+        # scratch misses the tolerance, so the solve goes on
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 46)
+        f = rhs_explicit(phi, dt, g, PP)
+        tol = CFG.tol_res * max(1.0, norm(f, g, "l2"))
+        real = fchsim.solver.nonlinear_map
+        calls = {"carried": 0, "scratch": []}
+
+        def lying(phi_, dt_, grid, pp, terms=None):
+            if terms is None:
+                out = real(phi_, dt_, grid, pp)
+                calls["scratch"].append(norm(f - out, g, "l2"))
+                return out
+            calls["carried"] += 1
+            return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms)
+
+        monkeypatch.setattr(fchsim.solver, "nonlinear_map", lying)
+        phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
+        assert calls["scratch"][0] > tol
+        assert report.iterations > 1
+        assert calls["scratch"][-1] <= tol and report.residual == calls["scratch"][-1]
+        assert norm(real(phi1, dt, g, PP) - f, g, "l2") <= tol
 
     def test_scheme_residual_identity(self):
         # the solved step satisfies (phi1 - phi0)/dt = lap mu to the tolerance
