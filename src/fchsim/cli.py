@@ -4,6 +4,8 @@ Configuration is flat ``key = value`` text with dotted section prefixes
 (``solver.theta1 = 0.5``); ``#`` starts a comment.  Every key has a schema
 entry, unknown keys are rejected, and unset keys fall back to the scenario
 preset.  ``--set key=value`` applies the same syntax on top of the file.
+The ``phys.*``, ``solver.*`` and ``adaptive.*`` keys are generated from the
+fields of ``PhysParams``, ``SolverConfig`` and ``AdaptiveConfig``.
 
 Each command resolves its configuration once: a copy with every unset key
 filled from the scenario preset, the solver/adaptive defaults and the
@@ -22,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -60,15 +62,6 @@ class ConfigError(ValueError):
     """Bad configuration: unknown key, bad value, or inconsistent settings."""
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_float(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
@@ -80,42 +73,33 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
 
+# Sections whose keys ``<section>.<field>`` are the fields of a config class.
+_SECTIONS = {"phys": PhysParams, "solver": SolverConfig, "adaptive": AdaptiveConfig}
+
+# (parser, emitter) pairs; a section field's type picks its pair, and an
+# Optional[float] field is a float key that may stay unset
+_STR, _INT, _FLOAT = (str, str), (int, str), (_parse_float, repr)
+_FIELD_CODECS = {int: _INT, float: _FLOAT, Optional[float]: _FLOAT}
+
 # key -> (parser, emitter)
 _SCHEMA = {
-    "scenario": (str, str),
-    "grid.nx": (int, str),
-    "grid.ny": (int, str),
-    "grid.lx": (_parse_float, repr),
-    "grid.ly": (_parse_float, repr),
-    "phys.eps": (_parse_float, repr),
-    "phys.eta": (_parse_float, repr),
-    "phys.lam": (_parse_float, repr),
-    "phys.p": (int, str),
-    "solver.theta1": (_parse_float, repr),
-    "solver.theta2": (_parse_float, repr),
-    "solver.tol_res": (_parse_float, repr),
-    "solver.max_iter": (int, str),
-    "solver.ls_tol": (_parse_float, repr),
-    "solver.ls_max": (int, str),
-    "solver.ls_margin": (_parse_float, repr),
-    "adaptive.dt_max": (_parse_float, repr),
-    "adaptive.dt_min": (_parse_float, repr),
-    "adaptive.rate_hi": (_parse_float, repr),
-    "adaptive.rate_lo": (_parse_float, repr),
-    "adaptive.grow": (_parse_float, repr),
-    "adaptive.shrink": (_parse_float, repr),
-    "adaptive.dt_init": (_parse_float, repr),
-    "run.t_end": (_parse_float, repr),
-    "run.seed": (int, str),
-    "run.ell": (_parse_float, repr),
-    "run.snap_every_steps": (int, str),
-    "run.snap_every_time": (_parse_float, repr),
-    "run.out": (str, str),
-    "run.text_snapshots": (_parse_bool, lambda b: "true" if b else "false"),
+    "scenario": _STR,
+    "grid.nx": _INT,
+    "grid.ny": _INT,
+    "grid.lx": _FLOAT,
+    "grid.ly": _FLOAT,
+    **{f"{section}.{name}": _FIELD_CODECS[hint] for section, cls in _SECTIONS.items()
+       for name, hint in get_type_hints(cls).items()},
+    "run.t_end": _FLOAT,
+    "run.seed": _INT,
+    "run.ell": _FLOAT,
+    "run.snap_every_steps": _INT,
+    "run.snap_every_time": _FLOAT,
+    "run.out": _STR,
     "convergence.n_list": (_parse_int_list, lambda t: ",".join(str(n) for n in t)),
-    "convergence.coupling": (str, str),
-    "convergence.t_final": (_parse_float, repr),
-    "convergence.refine": (int, str),
+    "convergence.coupling": _STR,
+    "convergence.t_final": _FLOAT,
+    "convergence.refine": _INT,
 }
 
 
@@ -177,7 +161,7 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     """Copy of ``cfg`` with every unset key of ``command`` filled in.
 
     Scenario keys (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from
-    the scenario preset, ``solver.*`` and ``adaptive.*`` from the config
+    the scenario preset, ``solver.*`` and ``adaptive.*`` from the class
     defaults, ``run.out`` is ``out``, and the command's own keys come from
     ``_COMMAND_DEFAULTS``; keys whose default is None stay unset.  The run
     is built from the result, and the result is the run's manifest.
@@ -203,61 +187,57 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
         "run.ell": scn.ell,
         "run.out": "out",
     }
-    for section, obj in (("phys", scn.phys), ("solver", SolverConfig()),
-                         ("adaptive", AdaptiveConfig())):
-        defaults.update((f"{section}.{f.name}", getattr(obj, f.name)) for f in fields(obj))
+    for section, cls in _SECTIONS.items():
+        obj = scn.phys if section == "phys" else cls()
+        defaults.update((f"{section}.{f.name}", getattr(obj, f.name)) for f in fields(cls))
     resolved = RunConfig({k: v for k, v in defaults.items() if v is not None})
     resolved.values.update(cfg.values)
     return resolved
 
 
-def _make_outdir(resolved: RunConfig, outdir: str | Path | None) -> Path:
-    """Create the output directory and record it as the resolved ``run.out``."""
-    outdir = Path(resolved.get("run.out") if outdir is None else outdir)
+def _make_outdir(resolved: RunConfig) -> Path:
+    """Create the directory ``run.out`` and record it as written."""
+    outdir = Path(resolved.get("run.out"))
     outdir.mkdir(parents=True, exist_ok=True)
     resolved.values["run.out"] = str(outdir)
     return outdir
 
 
-def _section_config(cfg: RunConfig, section: str, cls):
-    """Build ``cls`` from the keys ``<section>.<field>`` of a resolved config."""
+def _section_config(resolved: RunConfig, section: str):
+    """Build the section's config class from its keys in a resolved config."""
+    cls = _SECTIONS[section]
     try:
-        return cls(**{f.name: cfg.get(f"{section}.{f.name}") for f in fields(cls)})
+        return cls(**{f.name: resolved.get(f"{section}.{f.name}") for f in fields(cls)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
-    """Run one scenario, writing diagnostics, snapshots and a manifest.
-
-    ``outdir`` overrides the configuration's ``run.out``.
-    """
+def cmd_run(cfg: RunConfig) -> int:
+    """Run one scenario, writing diagnostics, snapshots and a manifest."""
     resolved = _resolve(cfg)
     get = resolved.get
     for key in ("run.t_end", "run.snap_every_time", "run.snap_every_steps"):
         if get(key, 0) < 0:
             raise ConfigError(f"{key} must not be negative, got {get(key)!r}")
+    phys = _section_config(resolved, "phys")
+    solver = _section_config(resolved, "solver")
+    adaptive = _section_config(resolved, "adaptive")
     try:
         grid = Grid((get("grid.nx"), get("grid.ny")), (get("grid.lx"), get("grid.ly")))
+        scn = Scenario(get("scenario"), grid, phys, t_end=get("run.t_end"),
+                       seed=get("run.seed"), ell=get("run.ell"))
+        phi = scn.initial_condition()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    phys = _section_config(resolved, "phys", PhysParams)
-    scn = Scenario(get("scenario"), grid, phys, t_end=get("run.t_end"),
-                   seed=get("run.seed"), ell=get("run.ell"))
-    solver = _section_config(resolved, "solver", SolverConfig)
-    adaptive = _section_config(resolved, "adaptive", AdaptiveConfig)
-    outdir = _make_outdir(resolved, outdir)
+    outdir = _make_outdir(resolved)
 
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
-    phi = scn.initial_condition()
     ws = SpectralWorkspace(scn.grid)
 
     write_manifest(outdir / "manifest.txt", resolved.emit(), seed=scn.seed, rng_name=RNG_NAME)
 
     snap_steps = get("run.snap_every_steps", 0)
     snap_time = get("run.snap_every_time", 0.0)
-    text_export = get("run.text_snapshots", False)
-
     last_saved = 0
 
     def save(phi_now, *, time, step_index):
@@ -268,15 +248,8 @@ def cmd_run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
             path, phi_now, scn.grid, time=time, step=step_index, seed=scn.seed,
             params=digest,
         )
-        if text_export and max(scn.grid.shape) <= 64:
-            (outdir / f"field_{step_index:08d}.txt").write_text(snapshot_text(phi_now))
 
     save(phi, time=0.0, step_index=0)
-    if scn.t_end <= 0.0:
-        with DiagnosticsWriter(outdir / "diagnostics.csv"):
-            pass
-        return 0
-
     next_time = snap_time if snap_time > 0 else None
 
     with DiagnosticsWriter(outdir / "diagnostics.csv") as diag:
@@ -322,18 +295,17 @@ def _convergence_error(n: int, coupling: str, t_final: float, phys: PhysParams,
     return dt, steps, err
 
 
-def cmd_convergence(cfg: RunConfig, outdir: str | Path | None = None) -> int:
+def cmd_convergence(cfg: RunConfig) -> int:
     """Grid refinement study against the manufactured solution.
 
-    Writes ``convergence.csv`` and a manifest; ``outdir`` overrides the
-    configuration's ``run.out``.
+    Writes ``convergence.csv`` and a manifest.
     """
     if cfg.get("scenario", "convergence") != "convergence":
         raise ConfigError("the convergence command requires scenario = convergence")
     resolved = _resolve(cfg, "convergence")
     get = resolved.get
-    phys = _section_config(resolved, "phys", PhysParams)
-    solver = _section_config(resolved, "solver", SolverConfig)
+    phys = _section_config(resolved, "phys")
+    solver = _section_config(resolved, "solver")
     n_list = get("convergence.n_list")
     coupling = get("convergence.coupling")
     if coupling not in ("dt16h2", "dth"):
@@ -349,7 +321,7 @@ def cmd_convergence(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     if refine < 4:
         raise ConfigError(f"convergence.refine must be at least 4, got {refine}")
 
-    outdir = _make_outdir(resolved, outdir)
+    outdir = _make_outdir(resolved)
     write_manifest(outdir / "manifest.txt", resolved.emit(), seed=get("run.seed"),
                    rng_name=RNG_NAME)
 
@@ -408,9 +380,9 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         cfg.set(key.strip(), raw)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.set("run.seed", str(args.seed))
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.values["run.out"] = args.out
     return cfg
 

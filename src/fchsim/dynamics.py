@@ -86,6 +86,8 @@ class AdaptiveConfig:
             raise ValueError(f"need rate_lo < rate_hi, got {self.rate_lo}, {self.rate_hi}")
         if not (self.grow > 1.0 > self.shrink > 0.0):
             raise ValueError(f"need grow > 1 > shrink > 0, got {self.grow}, {self.shrink}")
+        if self.dt_init is not None and not self.dt_init > 0:
+            raise ValueError(f"dt_init must be positive, got {self.dt_init}")
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,8 @@ def mixing_family(r, pp: PhysParams):
 
 def admissible(f: np.ndarray) -> bool:
     """True when every value lies strictly inside (-1, 1); NaN never does."""
-    return float(np.max(np.abs(f))) < 1.0
+    f = np.asarray(f)
+    return bool(f.max() < 1.0 and f.min() > -1.0)
 
 
 def require_admissible(f: np.ndarray, what: str = "field") -> None:

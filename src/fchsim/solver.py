@@ -113,6 +113,8 @@ class SolverConfig:
             raise ValueError(f"tol_res must be positive, got {self.tol_res}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.ls_max < 1:
+            raise ValueError(f"ls_max must be at least 1, got {self.ls_max}")
         if not 0.0 < self.ls_margin < 1.0:
             raise ValueError(f"ls_margin must lie in (0, 1), got {self.ls_margin}")
         if self.theta1 < 0 or self.theta2 < 0:

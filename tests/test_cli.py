@@ -52,6 +52,13 @@ solver.tol_res = 1e-09
 """
 
 
+def with_out(text, out):
+    """The configuration ``text`` with ``run.out`` set to ``out``."""
+    cfg = RunConfig.parse(text)
+    cfg.set("run.out", str(out))
+    return cfg
+
+
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig()
@@ -60,7 +67,6 @@ class TestRunConfig:
         cfg.set("phys.eps", "0.016")
         cfg.set("solver.tol_res", "1e-8")
         cfg.set("convergence.n_list", "16,32")
-        cfg.set("run.text_snapshots", "true")
         text = cfg.emit()
         assert RunConfig.parse(text) == cfg
         assert RunConfig.parse(cfg.emit()).emit() == text
@@ -169,26 +175,27 @@ class TestDiagnosticsWriter:
 
 class TestCommands:
     def test_run_zero_horizon(self, tmp_path):
-        cfg = RunConfig.parse(
-            "scenario = spinodal\ngrid.nx = 16\ngrid.ny = 16\nrun.t_end = 0\nrun.seed = 3\n"
-        )
         out = tmp_path / "out"
-        assert cmd_run(cfg, out) == 0
+        cfg = with_out(
+            "scenario = spinodal\ngrid.nx = 16\ngrid.ny = 16\nrun.t_end = 0\nrun.seed = 3\n", out
+        )
+        assert cmd_run(cfg) == 0
         assert (out / "field_00000000.snap").exists()
         assert (out / "manifest.txt").exists()
         diag = (out / "diagnostics.csv").read_text().splitlines()
         assert diag == [DIAGNOSTICS_COLUMNS]
 
     def test_small_run_writes_artifacts(self, tmp_path):
-        cfg = RunConfig.parse(
+        out = tmp_path / "out"
+        cfg = with_out(
             "scenario = spinodal\n"
             "grid.nx = 16\ngrid.ny = 16\n"
             "phys.eps = 0.1\nphys.eta = 2.0\n"
             "run.t_end = 0.004\nrun.seed = 5\n"
-            "run.snap_every_steps = 1\n"
+            "run.snap_every_steps = 1\n",
+            out,
         )
-        out = tmp_path / "out"
-        assert cmd_run(cfg, out) == 0
+        assert cmd_run(cfg) == 0
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(lines) >= 3
         header = lines[0].split(",")
@@ -208,8 +215,8 @@ class TestCommands:
             "phys.eps = 0.1\nphys.eta = 2.0\nrun.t_end = 0.002\nrun.seed = 9\n"
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cmd_run(RunConfig.parse(text), out1) == 0
-        assert cmd_run(RunConfig.parse(text), out2) == 0
+        assert cmd_run(with_out(text, out1)) == 0
+        assert cmd_run(with_out(text, out2)) == 0
         final1 = sorted(out1.glob("field_*.snap"))[-1]
         final2 = sorted(out2.glob("field_*.snap"))[-1]
         a, _ = read_snapshot(final1)
@@ -295,12 +302,10 @@ class TestCommands:
         assert body == PEARLING_MANIFEST.splitlines()
 
     def test_manifest_rebuilds_the_run(self, tmp_path):
-        cfg = RunConfig.parse(
-            "grid.nx = 16\nphys.eps = 0.1\nrun.ell = 0.5\nrun.t_end = 0\n"
-        )
+        text = "grid.nx = 16\nphys.eps = 0.1\nrun.ell = 0.5\nrun.t_end = 0\n"
         first, second = tmp_path / "a", tmp_path / "b"
-        assert cmd_run(cfg, first) == 0
-        assert cmd_run(RunConfig.parse((first / "manifest.txt").read_text()), second) == 0
+        assert cmd_run(with_out(text, first)) == 0
+        assert cmd_run(with_out((first / "manifest.txt").read_text(), second)) == 0
         first_lines, second_lines = (
             (d / "manifest.txt").read_text().splitlines() for d in (first, second)
         )
@@ -338,8 +343,8 @@ class TestCommands:
         assert "convergence.n_list = 8,16" in (first / "manifest.txt").read_text()
 
     def test_convergence_single_row(self, tmp_path, capsys):
-        cfg = RunConfig.parse("scenario = convergence\nconvergence.n_list = 8\n")
-        assert cmd_convergence(cfg, tmp_path) == 0
+        cfg = with_out("scenario = convergence\nconvergence.n_list = 8\n", tmp_path)
+        assert cmd_convergence(cfg) == 0
         outp = capsys.readouterr().out
         assert "N =     8" in outp
         assert "slope" not in outp
@@ -347,17 +352,18 @@ class TestCommands:
         assert csv.splitlines()[0] == "N,dt,steps,l2_error"
 
     def test_convergence_two_rows_with_slope(self, tmp_path, capsys):
-        cfg = RunConfig.parse(
-            "scenario = convergence\nconvergence.n_list = 8,16\nconvergence.t_final = 0.08\n"
+        cfg = with_out(
+            "scenario = convergence\nconvergence.n_list = 8,16\nconvergence.t_final = 0.08\n",
+            tmp_path,
         )
-        assert cmd_convergence(cfg, tmp_path) == 0
+        assert cmd_convergence(cfg) == 0
         outp = capsys.readouterr().out
         assert "fitted slope" in outp
 
     def test_convergence_rejects_bad_coupling(self, tmp_path):
-        cfg = RunConfig.parse("scenario = convergence\nconvergence.coupling = dth3\n")
+        cfg = with_out("scenario = convergence\nconvergence.coupling = dth3\n", tmp_path)
         with pytest.raises(ConfigError):
-            cmd_convergence(cfg, tmp_path)
+            cmd_convergence(cfg)
 
     def test_inspect(self, tmp_path, capsys):
         g = Grid.square(4)
@@ -367,6 +373,15 @@ class TestCommands:
         outp = capsys.readouterr().out
         assert "shape (4, 4)" in outp
         assert "time = 2" in outp
+
+    def test_inspect_text_dumps_the_field(self, tmp_path, capsys):
+        g = Grid((5, 7), (1.0, 2.0))
+        phi = np.random.default_rng(8).uniform(-0.99, 0.99, g.shape)
+        path = tmp_path / "f.snap"
+        write_snapshot(path, phi, g, time=0.5, step=2)
+        assert main(["inspect", str(path), "--text"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-g.shape[0]:]
+        assert np.array_equal(np.array([[float(v) for v in r.split()] for r in rows]), phi)
 
 
 class TestMainExitCodes:
@@ -400,6 +415,25 @@ class TestMainExitCodes:
         out = tmp_path / "out"
         args = ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", setting]
         assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["--seed", "-1"],
+            ["--set", "scenario=pearling", "--set", "grid.lx=2.0"],
+            ["--set", "scenario=pearling", "--set", "run.ell=0"],
+            ["--set", "scenario=convergence", "--set", "grid.lx=2"],
+            ["--set", "scenario=meandering", "--set", "grid.nx=32", "--set", "grid.lx=31"],
+            ["--set", "adaptive.dt_init=0"],
+            ["--set", "solver.ls_max=0"],
+        ],
+    )
+    def test_bad_input_is_config_error_before_any_output(self, tmp_path, capsys, settings):
+        out = tmp_path / "out"
+        assert main(["run", *settings, "--set", "run.t_end=0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_snapshot_is_io_error(self, tmp_path):

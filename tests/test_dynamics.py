@@ -48,6 +48,8 @@ class TestAdaptiveConfig:
             dict(rate_lo=0.2, rate_hi=0.1),
             dict(grow=0.9),
             dict(shrink=1.5),
+            dict(dt_init=0.0),
+            dict(dt_init=-1e-3),
         ],
     )
     def test_validation(self, kwargs):

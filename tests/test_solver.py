@@ -38,7 +38,8 @@ def make_instance(g, seed, dt=0.02, offset=0.0):
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(tol_res=0.0), dict(max_iter=0), dict(ls_margin=0.0), dict(ls_margin=1.0), dict(theta1=-1.0)],
+        [dict(tol_res=0.0), dict(max_iter=0), dict(ls_margin=0.0), dict(ls_margin=1.0), dict(theta1=-1.0),
+         dict(ls_max=0)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
