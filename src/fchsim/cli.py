@@ -7,12 +7,18 @@ preset.  ``--set key=value`` applies the same syntax on top of the file.
 The ``phys.*``, ``solver.*`` and ``adaptive.*`` keys are generated from the
 fields of ``PhysParams``, ``SolverConfig`` and ``AdaptiveConfig``.
 
-Each command resolves its configuration once: a copy with every unset key
-filled from the scenario preset, the solver/adaptive defaults and the
-command's own defaults.  The run is built from that resolved configuration,
-and ``manifest.txt`` records it with ``run.out`` set to the directory
-written, so ``--config manifest.txt`` reproduces the run.  The output
-directory is ``--out`` if given, else ``run.out``, else ``out``.
+Each command accepts only the keys it reads: ``run`` reads ``scenario``,
+``grid.*``, ``phys.*``, ``solver.*``, ``adaptive.*`` and ``run.*``;
+``convergence`` reads ``phys.*`` (defaults from the convergence preset),
+``solver.*``, ``convergence.*`` and ``run.out``, so it takes no ``--seed``.
+Any other key exits 2 before any output exists.  Each command resolves its
+configuration once: a copy with every unset key it reads filled from the
+scenario preset, the solver/adaptive defaults and the command's own
+defaults.  The run is built from that resolved configuration, and
+``manifest.txt`` records it, under a header line naming the fchsim, Python
+and numpy versions, with ``run.out`` set to the directory written, so
+``--config manifest.txt`` reproduces the run.  The output directory is
+``--out`` if given, else ``run.out``, else ``out``; it may not be empty.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
@@ -47,7 +53,6 @@ from .output import (
 from .potential import PhysParams, PotentialDomainError
 from .scenarios import (
     PRESET_NAMES,
-    RNG_NAME,
     Scenario,
     manufactured_forcing,
     manufactured_state,
@@ -144,29 +149,32 @@ class RunConfig:
         return cfg
 
 
-# Defaults each command adds to the preset and config defaults.
-_COMMAND_DEFAULTS = {
-    "run": {"scenario": "spinodal"},
-    "convergence": {
-        "scenario": "convergence",
-        "convergence.n_list": (16, 32, 64, 128),
-        "convergence.coupling": "dt16h2",
-        "convergence.t_final": 0.32,
-        "convergence.refine": 4,
-    },
+# command -> (prefixes of the keys it reads, defaults it adds to the preset
+# and config defaults); any other key is an error
+_COMMANDS = {
+    "run": (("scenario", "grid.", "phys.", "solver.", "adaptive.", "run."),
+            {"scenario": "spinodal"}),
+    "convergence": (("phys.", "solver.", "convergence.", "run.out"),
+                    {"scenario": "convergence", "convergence.n_list": (16, 32, 64, 128),
+                     "convergence.coupling": "dt16h2", "convergence.t_final": 0.32,
+                     "convergence.refine": 4}),
 }
 
 
 def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     """Copy of ``cfg`` with every unset key of ``command`` filled in.
 
-    Scenario keys (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from
-    the scenario preset, ``solver.*`` and ``adaptive.*`` from the class
-    defaults, ``run.out`` is ``out``, and the command's own keys come from
-    ``_COMMAND_DEFAULTS``; keys whose default is None stay unset.  The run
-    is built from the result, and the result is the run's manifest.
+    A set key that ``command`` does not read is an error.  Scenario keys
+    (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from the scenario
+    preset, ``solver.*`` and ``adaptive.*`` from the class defaults,
+    ``run.out`` is ``out``, and the command's own keys come from
+    ``_COMMANDS``; keys whose default is None stay unset.  The run is built
+    from the result, and the result is the run's manifest.
     """
-    own = _COMMAND_DEFAULTS[command]
+    reads, own = _COMMANDS[command]
+    for key in cfg.values:
+        if not key.startswith(reads):
+            raise ConfigError(f"fchsim {command} does not read {key}")
     name = cfg.get("scenario", own["scenario"])
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
@@ -190,8 +198,12 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     for section, cls in _SECTIONS.items():
         obj = scn.phys if section == "phys" else cls()
         defaults.update((f"{section}.{f.name}", getattr(obj, f.name)) for f in fields(cls))
-    resolved = RunConfig({k: v for k, v in defaults.items() if v is not None})
+    resolved = RunConfig(
+        {k: v for k, v in defaults.items() if v is not None and k.startswith(reads)}
+    )
     resolved.values.update(cfg.values)
+    if not resolved.get("run.out"):
+        raise ConfigError("run.out must not be empty")
     return resolved
 
 
@@ -234,7 +246,7 @@ def cmd_run(cfg: RunConfig) -> int:
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
     ws = SpectralWorkspace(scn.grid)
 
-    write_manifest(outdir / "manifest.txt", resolved.emit(), seed=scn.seed, rng_name=RNG_NAME)
+    write_manifest(outdir / "manifest.txt", resolved.emit())
 
     snap_steps = get("run.snap_every_steps", 0)
     snap_time = get("run.snap_every_time", 0.0)
@@ -300,8 +312,6 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
     Writes ``convergence.csv`` and a manifest.
     """
-    if cfg.get("scenario", "convergence") != "convergence":
-        raise ConfigError("the convergence command requires scenario = convergence")
     resolved = _resolve(cfg, "convergence")
     get = resolved.get
     phys = _section_config(resolved, "phys")
@@ -316,14 +326,15 @@ def cmd_convergence(cfg: RunConfig) -> int:
         raise ConfigError("convergence.n_list must not be empty")
     if min(n_list) < 4:
         raise ConfigError(f"convergence.n_list entries must be at least 4, got {min(n_list)}")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"convergence.n_list must be strictly increasing, got {n_list}")
     if not t_final > 0:
         raise ConfigError(f"convergence.t_final must be positive, got {t_final!r}")
     if refine < 4:
         raise ConfigError(f"convergence.refine must be at least 4, got {refine}")
 
     outdir = _make_outdir(resolved)
-    write_manifest(outdir / "manifest.txt", resolved.emit(), seed=get("run.seed"),
-                   rng_name=RNG_NAME)
+    write_manifest(outdir / "manifest.txt", resolved.emit())
 
     rows = []
     for n in n_list:
@@ -403,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     common.add_argument(
         "--out", default=None, help="output directory (default: run.out, else out)"
     )
-    common.add_argument("--seed", type=int, default=None, help="random seed")
+    common.add_argument("--seed", type=int, default=None, help="random seed (run.seed)")
 
     sub.add_parser("run", parents=[common], help="run a scenario")
     sub.add_parser(

@@ -171,13 +171,11 @@ class DiagnosticsWriter:
         self.close()
 
 
-def write_manifest(path: str | Path, config_text: str, seed: int, rng_name: str) -> None:
+def write_manifest(path: str | Path, config_text: str) -> None:
     from . import __version__
 
     lines = [
-        f"# fchsim {__version__} on python {sys.version.split()[0]}",
-        f"# rng = {rng_name}",
-        f"# seed = {seed}",
+        f"# fchsim {__version__} on python {sys.version.split()[0]}, numpy {np.__version__}",
         "",
         config_text.rstrip("\n"),
         "",

@@ -55,7 +55,6 @@ PEARLING_RADIUS = 0.42
 PEARLING_AMPLITUDE = 0.9
 SPINODAL_MEAN = 0.5
 SPINODAL_NOISE = 0.01
-RNG_NAME = "numpy-pcg64"
 
 
 def well_depth(r_star: float) -> float:

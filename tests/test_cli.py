@@ -3,7 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fchsim.cli import _SCHEMA, ConfigError, RunConfig, cmd_convergence, cmd_inspect, cmd_run, main
+from fchsim.cli import (
+    _COMMANDS, _SCHEMA, ConfigError, RunConfig, cmd_convergence, cmd_inspect, cmd_run, main,
+)
 from fchsim.dynamics import AdaptiveConfig
 from fchsim.potential import PhysParams
 from fchsim.solver import SolverConfig
@@ -20,8 +22,6 @@ from fchsim.dynamics import DiagnosticsRecord
 
 # Manifest of the pearling-cli-64 command without its version line and run.out.
 PEARLING_MANIFEST = """\
-# rng = numpy-pcg64
-# seed = 1
 
 adaptive.dt_max = 0.002
 adaptive.dt_min = 1e-08
@@ -97,6 +97,11 @@ class TestRunConfig:
     def test_schema_lists_every_config_field(self, section, cls):
         keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith(section + ".")}
         assert keys == {f.name for f in fields(cls)}
+
+    def test_every_key_is_read_by_a_command(self):
+        prefixes = tuple(p for reads, _ in _COMMANDS.values() for p in reads)
+        unread = [k for k in _SCHEMA if not k.startswith(prefixes)]
+        assert not unread
 
 
 class TestSnapshots:
@@ -297,6 +302,7 @@ class TestCommands:
         ]) == 0
         lines = (out / "manifest.txt").read_text().splitlines()
         assert lines[0].startswith("# fchsim ")
+        assert f"numpy {np.__version__}" in lines[0]
         assert f"run.out = {out}" in lines
         body = [ln for ln in lines[1:] if not ln.startswith("run.out = ")]
         assert body == PEARLING_MANIFEST.splitlines()
@@ -342,8 +348,20 @@ class TestCommands:
         ).read_bytes()
         assert "convergence.n_list = 8,16" in (first / "manifest.txt").read_text()
 
+    def test_convergence_manifest_lists_only_the_keys_it_reads(self, tmp_path):
+        assert main([
+            "convergence", "--set", "convergence.n_list=8",
+            "--set", "convergence.t_final=0.01", "--out", str(tmp_path),
+        ]) == 0
+        body = RunConfig.parse((tmp_path / "manifest.txt").read_text()).values
+        expected = {f"phys.{f.name}" for f in fields(PhysParams)}
+        expected |= {f"solver.{f.name}" for f in fields(SolverConfig)}
+        expected |= {"convergence.n_list", "convergence.coupling", "convergence.t_final",
+                     "convergence.refine", "run.out"}
+        assert set(body) == expected
+
     def test_convergence_single_row(self, tmp_path, capsys):
-        cfg = with_out("scenario = convergence\nconvergence.n_list = 8\n", tmp_path)
+        cfg = with_out("convergence.n_list = 8\n", tmp_path)
         assert cmd_convergence(cfg) == 0
         outp = capsys.readouterr().out
         assert "N =     8" in outp
@@ -353,7 +371,7 @@ class TestCommands:
 
     def test_convergence_two_rows_with_slope(self, tmp_path, capsys):
         cfg = with_out(
-            "scenario = convergence\nconvergence.n_list = 8,16\nconvergence.t_final = 0.08\n",
+            "convergence.n_list = 8,16\nconvergence.t_final = 0.08\n",
             tmp_path,
         )
         assert cmd_convergence(cfg) == 0
@@ -361,7 +379,7 @@ class TestCommands:
         assert "fitted slope" in outp
 
     def test_convergence_rejects_bad_coupling(self, tmp_path):
-        cfg = with_out("scenario = convergence\nconvergence.coupling = dth3\n", tmp_path)
+        cfg = with_out("convergence.coupling = dth3\n", tmp_path)
         with pytest.raises(ConfigError):
             cmd_convergence(cfg)
 
@@ -392,7 +410,11 @@ class TestMainExitCodes:
         assert main(["run", "--set", "scenario=warp", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "setting", ["convergence.refine=2", "convergence.t_final=0", "convergence.n_list=1"]
+        "setting",
+        [
+            "convergence.refine=2", "convergence.t_final=0", "convergence.n_list=1",
+            "convergence.n_list=16,16", "convergence.n_list=32,16",
+        ],
     )
     def test_bad_convergence_value_is_config_error(self, tmp_path, setting):
         out = tmp_path / "out"
@@ -435,6 +457,40 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("convergence", ["--set", "grid.nx=64"], "grid.nx"),
+            ("convergence", ["--set", "adaptive.dt_max=1"], "adaptive.dt_max"),
+            ("convergence", ["--set", "run.ell=0.1"], "run.ell"),
+            ("convergence", ["--set", "run.snap_every_steps=3"], "run.snap_every_steps"),
+            ("convergence", ["--set", "scenario=convergence"], "scenario"),
+            ("convergence", ["--seed", "3"], "run.seed"),
+            ("run", ["--set", "convergence.coupling=bogus"], "convergence.coupling"),
+        ],
+    )
+    def test_key_the_command_does_not_read_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, setting, key
+    ):
+        # small enough to finish quickly should the key be accepted
+        quick = {
+            "run": ["--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "run.t_end=0"],
+            "convergence": ["--set", "convergence.n_list=8", "--set", "convergence.t_final=0.01"],
+        }
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *quick[command], *setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert key in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", [["--out", ""], ["--set", "run.out="]])
+    def test_empty_output_directory_is_config_error(self, tmp_path, monkeypatch, setting):
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "run.t_end=0"]
+        assert main(args + setting) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_snapshot_is_io_error(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.snap")]) == 4
