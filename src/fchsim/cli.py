@@ -1,24 +1,22 @@
 """Command-line front end: run, convergence, inspect.
 
 Configuration is flat ``key = value`` text with dotted section prefixes
-(``solver.theta1 = 0.5``); ``#`` starts a comment.  Every key has a schema
-entry, unknown keys are rejected, and unset keys fall back to the scenario
-preset.  ``--set key=value`` applies the same syntax on top of the file.
-The ``phys.*``, ``solver.*`` and ``adaptive.*`` keys are generated from the
-fields of ``PhysParams``, ``SolverConfig`` and ``AdaptiveConfig``.
+(``solver.theta1 = 0.5``); ``#`` starts a comment.  ``--set key=value``
+applies the same syntax on top of the file.  The ``phys.*``, ``solver.*``
+and ``adaptive.*`` keys are generated from the fields of ``PhysParams``,
+``SolverConfig`` and ``AdaptiveConfig``.
 
-Each command accepts only the keys it reads: ``run`` reads ``scenario``,
-``grid.*``, ``phys.*``, ``solver.*``, ``adaptive.*`` and ``run.*``;
-``convergence`` reads ``phys.*`` (defaults from the convergence preset),
-``solver.*``, ``convergence.*`` and ``run.out``, so it takes no ``--seed``.
-Any other key exits 2 before any output exists.  Each command resolves its
-configuration once: a copy with every unset key it reads filled from the
-scenario preset, the solver/adaptive defaults and the command's own
-defaults.  The run is built from that resolved configuration, and
-``manifest.txt`` records it, under a header line naming the fchsim, Python
-and numpy versions, with ``run.out`` set to the directory written, so
-``--config manifest.txt`` reproduces the run.  The output directory is
-``--out`` if given, else ``run.out``, else ``out``; it may not be empty.
+Each command accepts only the keys it reads; any other key exits 2 before
+any output exists.  ``run`` reads ``scenario``, ``grid.*``, ``phys.*``,
+``solver.*``, ``adaptive.*`` and ``run.*``; ``convergence`` reads
+``phys.*``, ``solver.*``, ``convergence.*`` and ``run.out`` (no ``--seed``).
+Each command resolves its configuration once, filling every unset key it
+reads from the scenario preset, the solver/adaptive defaults and its own
+defaults.  The run is built from that, and ``manifest.txt`` records it under
+a line naming the fchsim, Python and numpy versions, with ``run.out`` set to
+the directory written, so ``--config manifest.txt`` reproduces the run.  The
+output directory is ``--out`` if given, else ``run.out``, else ``out``, and
+may not be empty.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
@@ -149,8 +147,7 @@ class RunConfig:
         return cfg
 
 
-# command -> (prefixes of the keys it reads, defaults it adds to the preset
-# and config defaults); any other key is an error
+# command -> (prefixes of the keys it reads, the defaults it adds)
 _COMMANDS = {
     "run": (("scenario", "grid.", "phys.", "solver.", "adaptive.", "run."),
             {"scenario": "spinodal"}),
@@ -165,11 +162,9 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     """Copy of ``cfg`` with every unset key of ``command`` filled in.
 
     A set key that ``command`` does not read is an error.  Scenario keys
-    (``grid.*``, ``phys.*``, ``run.t_end/seed/ell``) come from the scenario
-    preset, ``solver.*`` and ``adaptive.*`` from the class defaults,
-    ``run.out`` is ``out``, and the command's own keys come from
-    ``_COMMANDS``; keys whose default is None stay unset.  The run is built
-    from the result, and the result is the run's manifest.
+    come from the scenario preset, ``solver.*`` and ``adaptive.*`` from the
+    class defaults, ``run.out`` is ``out``, and the rest from ``_COMMANDS``;
+    keys whose default is None stay unset.  The result is the run's manifest.
     """
     reads, own = _COMMANDS[command]
     for key in cfg.values:
@@ -185,7 +180,6 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     (nx, ny), (lx, ly) = scn.grid.shape, scn.grid.lengths
     defaults = {
         **own,
-        "scenario": name,
         "grid.nx": nx,
         "grid.ny": ny,
         "grid.lx": lx,
@@ -198,9 +192,8 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
     for section, cls in _SECTIONS.items():
         obj = scn.phys if section == "phys" else cls()
         defaults.update((f"{section}.{f.name}", getattr(obj, f.name)) for f in fields(cls))
-    resolved = RunConfig(
-        {k: v for k, v in defaults.items() if v is not None and k.startswith(reads)}
-    )
+    resolved = RunConfig({k: v for k, v in defaults.items()
+                          if v is not None and k.startswith(reads)})
     resolved.values.update(cfg.values)
     if not resolved.get("run.out"):
         raise ConfigError("run.out must not be empty")
