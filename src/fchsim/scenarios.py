@@ -1,6 +1,7 @@
 """Initial conditions and presets for the four standard experiments.
 
-Presets (grids, physical constants, horizons) follow the experiment matrix:
+Each scenario is one row of ``_PRESETS``: its grid, physical constants,
+horizon and initial condition, following the experiment matrix:
 
 * ``convergence`` -- manufactured single-mode solution on the unit square,
   eps = 0.5, eta = 1, lam = 3, p = 2, with an explicit forcing derived below.
@@ -48,7 +49,6 @@ __all__ = [
     "manufactured_state",
     "manufactured_forcing",
     "preset",
-    "PRESET_NAMES",
 ]
 
 PEARLING_RADIUS = 0.42
@@ -76,15 +76,7 @@ class Scenario:
     ell: float = 0.35
 
     def initial_condition(self) -> np.ndarray:
-        if self.name == "pearling":
-            return init_pearling(self.grid, self.ell, self.phys.eps)
-        if self.name == "meandering":
-            return init_meandering(self.grid)
-        if self.name == "spinodal":
-            return init_spinodal(self.grid, self.seed)
-        if self.name == "convergence":
-            return manufactured_state(self.grid, 0.0)
-        raise ValueError(f"unknown scenario {self.name!r}")
+        return _row(self.name)[4](self)
 
 
 def _require_unit_square(grid: Grid, what: str) -> None:
@@ -93,25 +85,21 @@ def _require_unit_square(grid: Grid, what: str) -> None:
 
 
 def init_pearling(
-    grid: Grid,
-    ell: float,
-    eps: float,
-    radius: float = PEARLING_RADIUS,
-    center: tuple[float, float] = (0.5, 0.5),
-    amplitude: float = PEARLING_AMPLITUDE,
+    grid: Grid, ell: float, eps: float, center: tuple[float, float] = (0.5, 0.5)
 ) -> np.ndarray:
-    """Circular bilayer ring: 2A/cosh((dist - radius)/(ell eps)) - A.
+    """Circular bilayer ring: 2A/cosh((dist - R)/(ell eps)) - A.
 
-    The crest of the ring reaches +A at distance ``radius`` from the center
-    and the background tends to -A; with the default A = 0.9 the range stays
-    inside [-0.9, 0.9].
+    The crest of the ring reaches +A at distance R = ``PEARLING_RADIUS`` from
+    the center and the background tends to -A; with A = ``PEARLING_AMPLITUDE``
+    = 0.9 the range stays inside [-0.9, 0.9].
     """
     if ell <= 0:
         raise ValueError(f"interface width factor ell must be positive, got {ell}")
     _require_unit_square(grid, "pearling initial condition")
     x, y = grid.mesh()
     dist = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2)
-    return 2.0 * amplitude / np.cosh((dist - radius) / (ell * eps)) - amplitude
+    amp, radius = PEARLING_AMPLITUDE, PEARLING_RADIUS
+    return 2.0 * amp / np.cosh((dist - radius) / (ell * eps)) - amp
 
 
 def init_meandering(grid: Grid) -> np.ndarray:
@@ -253,34 +241,36 @@ def _meandering_grid(cells: int) -> Grid:
 
 _LAM_STAR = well_depth(0.9)
 
-# name -> (default x cell count, grid from the cell count, physics, horizon)
+# name -> (default x cell count, grid from the cell count, physics, horizon,
+# initial condition from the scenario); the builders look the init functions
+# up when called, so a rebinding of the module's name is seen
 _PRESETS = {
-    "pearling": (256, Grid.square, PhysParams(eps=0.03, eta=4.0, lam=_LAM_STAR, p=1), 10.0),
-    "meandering": (
-        1024, _meandering_grid, PhysParams(eps=0.01, eta=10.0, lam=_LAM_STAR, p=1), 100.0
+    "pearling": (
+        256, Grid.square, PhysParams(eps=0.03, eta=4.0, lam=_LAM_STAR, p=1), 10.0,
+        lambda s: init_pearling(s.grid, s.ell, s.phys.eps),
     ),
-    "spinodal": (256, Grid.square, PhysParams(eps=0.008, eta=8.0, lam=_LAM_STAR, p=1), 1.0),
-    "convergence": (128, Grid.square, PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2), 0.32),
+    "meandering": (
+        1024, _meandering_grid, PhysParams(eps=0.01, eta=10.0, lam=_LAM_STAR, p=1), 100.0,
+        lambda s: init_meandering(s.grid),
+    ),
+    "spinodal": (
+        256, Grid.square, PhysParams(eps=0.008, eta=8.0, lam=_LAM_STAR, p=1), 1.0,
+        lambda s: init_spinodal(s.grid, s.seed),
+    ),
+    "convergence": (
+        128, Grid.square, PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2), 0.32,
+        lambda s: manufactured_state(s.grid, 0.0),
+    ),
 }
-PRESET_NAMES = frozenset(_PRESETS)
 
 
-def preset(
-    name: str,
-    n: Optional[int] = None,
-    seed: int = 0,
-    ell: float = 0.35,
-    t_end: Optional[float] = None,
-) -> Scenario:
-    """Build one of the named experiments with its published parameter set."""
+def _row(name: str) -> tuple:
     if name not in _PRESETS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(PRESET_NAMES)}")
-    cells, make_grid, phys, horizon = _PRESETS[name]
-    return Scenario(
-        name,
-        make_grid(cells if n is None else n),
-        phys,
-        t_end=horizon if t_end is None else t_end,
-        seed=seed,
-        ell=ell,
-    )
+        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(_PRESETS)}")
+    return _PRESETS[name]
+
+
+def preset(name: str, n: Optional[int] = None, seed: int = 0) -> Scenario:
+    """Build one of the named experiments with its published parameter set."""
+    cells, make_grid, phys, horizon, _ = _row(name)
+    return Scenario(name, make_grid(cells if n is None else n), phys, horizon, seed)

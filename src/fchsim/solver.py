@@ -480,6 +480,11 @@ def psd_solve(
     phi_norm = float(np.sqrt(vol * np.sum(phi_n * phi_n)))
     fp_floor = np.finfo(float).eps * phi_norm * float(np.sqrt(np.mean(sym**2)))
     tol = max(cfg.tol_res * max(1.0, f_norm), fp_floor)
+    if not np.isfinite(tol):
+        # an overflowing floor would accept the first iterate unsolved
+        raise SolverDivergedError(
+            f"residual tolerance {tol} is not finite", residual=np.nan, iterations=0
+        )
 
     phi = phi_n.copy()
     if phi_init is not None:

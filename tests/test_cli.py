@@ -250,6 +250,18 @@ class TestCommands:
         snaps = sorted(p.name for p in out.glob("field_*.snap"))
         assert snaps == [f"field_{k:08d}.snap" for k in (0, 2, 4, 6, 8, 10)]
 
+    def test_time_cadence_survives_accumulated_round_off(self, tmp_path):
+        # 120 steps of dt_max = 0.1: the summed t lands just below the
+        # multiples of 1 (4.9999999999999982 at step 50), which are still due
+        out = tmp_path / "out"
+        assert main([
+            "run", "--set", "scenario=spinodal", "--set", "grid.nx=8", "--set", "grid.ny=8",
+            "--set", "phys.eps=0.2", "--set", "adaptive.dt_max=0.1", "--set", "run.t_end=12",
+            "--set", "run.snap_every_time=1", "--out", str(out),
+        ]) == 0
+        snaps = sorted(p.name for p in out.glob("field_*.snap"))
+        assert snaps == [f"field_{k:08d}.snap" for k in range(0, 121, 10)]
+
     def test_final_snapshot_written_once(self, tmp_path, monkeypatch):
         # the step cadence already saves the last step; the closing save must
         # not write it again, and each file carries its step's own time
@@ -414,6 +426,7 @@ class TestMainExitCodes:
         [
             "convergence.refine=2", "convergence.t_final=0", "convergence.n_list=1",
             "convergence.n_list=16,16", "convergence.n_list=32,16",
+            "convergence.n_list=8,,16", "convergence.n_list=8,16,",
         ],
     )
     def test_bad_convergence_value_is_config_error(self, tmp_path, setting):

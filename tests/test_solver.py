@@ -409,6 +409,14 @@ class TestPsdSolve:
         assert info.value.residual > 0.0
         assert info.value.iterations == 1
 
+    def test_non_finite_tolerance_is_divergence(self):
+        # rms(symbol) overflows, so the floored tolerance would be inf and
+        # accept the unsolved first iterate
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 7)
+        with pytest.raises(SolverDivergedError) as info:
+            psd_solve(phi, dt, g, PP, SolverConfig(theta1=1e308), ws)
+        assert info.value.iterations == 0
+
     def test_rejects_inadmissible_start(self):
         from fchsim.potential import PotentialDomainError
 
