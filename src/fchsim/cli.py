@@ -50,7 +50,7 @@ from .output import (
 )
 from .potential import PhysParams, PotentialDomainError
 from .scenarios import Scenario, manufactured_forcing, manufactured_state, preset
-from .solver import LineSearchError, SolverConfig, SolverDivergedError
+from .solver import LineSearchError, SolverConfig, SolverDivergedError, symbol_rms
 
 __all__ = ["ConfigError", "RunConfig", "cmd_run", "cmd_convergence", "cmd_inspect", "main"]
 
@@ -208,6 +208,21 @@ def _section_config(resolved: RunConfig, section: str):
         raise ConfigError(str(exc)) from exc
 
 
+def _require_finite_symbol(ws: SpectralWorkspace, phys: PhysParams, solver: SolverConfig) -> None:
+    """ConfigError when the preconditioner symbol overflows on ``ws``'s grid at every dt.
+
+    ``psd_solve`` floors its tolerance at a multiple of the symbol's rms, so
+    such a setting could never solve a step.
+    """
+    if not math.isfinite(symbol_rms(ws, math.inf, phys, solver)):
+        shape = "x".join(str(n) for n in ws.grid.shape)
+        raise ConfigError(
+            f"the preconditioner symbol overflows on the {shape} grid "
+            f"(solver.theta1 = {solver.theta1!r}, solver.theta2 = {solver.theta2!r}, "
+            f"phys.eps = {phys.eps!r})"
+        )
+
+
 def cmd_run(cfg: RunConfig) -> int:
     """Run one scenario, writing diagnostics, snapshots and a manifest."""
     resolved = _resolve(cfg)
@@ -225,10 +240,11 @@ def cmd_run(cfg: RunConfig) -> int:
         phi = scn.initial_condition()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    ws = SpectralWorkspace(scn.grid)
+    _require_finite_symbol(ws, phys, solver)
     outdir = _make_outdir(resolved)
 
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
-    ws = SpectralWorkspace(scn.grid)
 
     write_manifest(outdir / "manifest.txt", resolved.emit())
 
@@ -315,6 +331,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
         raise ConfigError(f"convergence.t_final must be positive, got {t_final!r}")
     if refine < 4:
         raise ConfigError(f"convergence.refine must be at least 4, got {refine}")
+    for n in n_list:
+        _require_finite_symbol(SpectralWorkspace(Grid.square(n)), phys, solver)
 
     outdir = _make_outdir(resolved)
     write_manifest(outdir / "manifest.txt", resolved.emit())

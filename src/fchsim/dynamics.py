@@ -28,6 +28,12 @@ A solve that fails (:class:`SolverDivergedError`, :class:`LineSearchError`
 or :class:`PotentialDomainError`) is a rejected attempt too: it is redone at
 the shrunk dt, and the error propagates only from an attempt at ``dt_min``.
 A :class:`StabilityViolationError` always propagates.
+
+The adaptive driver seeds each solve with a predictor: the quadratic
+Lagrange extrapolation through the last three accepted states to the
+attempted time (linear while only two exist, none at the first step).  Only
+accepted steps enter its history.  The fixed driver starts every solve from
+the current state.
 """
 
 from __future__ import annotations
@@ -252,8 +258,9 @@ def advance_adaptive(
     dt = max(dt, acfg.dt_min)
     t = 0.0
     index = 0
-    phi_prev: np.ndarray | None = None
-    dt_prev = 0.0
+    # the last three accepted states, newest first, and the dt between them
+    states: list[np.ndarray] = [phi]
+    gaps: list[float] = []
     while t < t_end:
         remaining = t_end - t
         dt_step = min(dt, remaining)
@@ -261,11 +268,9 @@ def advance_adaptive(
         if final:
             dt_step = remaining
 
-        # Linear extrapolation of the last accepted motion seeds the solver;
-        # inadmissible predictions are dropped inside the solver.
-        phi_init = None
-        if phi_prev is not None and dt_prev > 0.0:
-            phi_init = phi + (dt_step / dt_prev) * (phi - phi_prev)
+        # The extrapolated accepted states seed the solver; inadmissible
+        # predictions are dropped inside the solver.
+        phi_init = _extrapolate(states, gaps, dt_step)
 
         try:
             phi_new, rec = step(
@@ -295,8 +300,9 @@ def advance_adaptive(
 
         index += 1
         t = t_end if final else t + dt_step
-        phi_prev, dt_prev = phi, dt_step
         phi = phi_new
+        states = [phi, *states[:2]]
+        gaps = [dt_step, *gaps[:1]]
         prev_total = rec.e_fch
         records.append(rec)
         if sink is not None:
@@ -304,3 +310,28 @@ def advance_adaptive(
         if r_energy < acfg.rate_lo and r_phase < acfg.rate_lo:
             dt = min(dt * acfg.grow, acfg.dt_max)
     return records, phi
+
+
+def _extrapolate(
+    states: list[np.ndarray], gaps: list[float], tau: float
+) -> np.ndarray | None:
+    """Lagrange extrapolation of ``states`` to ``tau`` past the newest.
+
+    ``states`` holds one to three states, newest first, and ``gaps`` the
+    time between consecutive ones (h1 = t_n - t_{n-1}, h2 = t_{n-1} - t_{n-2}).
+    One state gives None, two the line through them, three the parabola.
+    """
+    if len(states) == 1:
+        return None
+    phi, phi1 = states[0], states[1]
+    h1 = gaps[0]
+    if len(states) == 2:
+        return phi + (tau / h1) * (phi - phi1)
+    phi2, h2 = states[2], gaps[1]
+    w0 = (tau + h1) * (tau + h1 + h2) / (h1 * (h1 + h2))
+    w1 = -tau * (tau + h1 + h2) / (h1 * h2)
+    w2 = tau * (tau + h1) / ((h1 + h2) * h2)
+    out = w0 * phi
+    out += w1 * phi1
+    out += w2 * phi2
+    return out

@@ -69,6 +69,7 @@ __all__ = [
     "SolverDivergedError",
     "LineSearchError",
     "precond_symbol",
+    "symbol_rms",
     "precond_solve",
     "admissible_step_cap",
     "LineObjective",
@@ -159,6 +160,16 @@ def precond_symbol(
     return sym
 
 
+def symbol_rms(ws: SpectralWorkspace, dt: float, pp: PhysParams, cfg: SolverConfig) -> float:
+    """rms of the preconditioner symbol, the scale of ``psd_solve``'s tolerance floor.
+
+    Overflow gives inf, without a warning.  dt = inf drops the 1/dt term,
+    giving the least value that any step size reaches on this grid.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.mean(precond_symbol(ws, dt, pp, cfg) ** 2)))
+
+
 def precond_solve(
     r: np.ndarray,
     dt: float,
@@ -180,14 +191,11 @@ def admissible_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> f
     """Largest alpha keeping ||phi + alpha d||_inf <= 1 - margin_frac*(1 - ||phi||_inf)."""
     sup = float(np.max(np.abs(phi)))
     bound = 1.0 - margin_frac * (1.0 - sup)
-    cap = np.inf
-    pos = d > 0
-    if np.any(pos):
-        cap = min(cap, float(np.min((bound - phi[pos]) / d[pos])))
-    neg = d < 0
-    if np.any(neg):
-        cap = min(cap, float(np.min((-bound - phi[neg]) / d[neg])))
-    return cap
+    # each entry takes the wall d points at; entries with d == 0 never reach one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = (np.where(d > 0, bound, -bound) - phi) / d
+    caps[d == 0] = np.inf
+    return float(np.min(caps))
 
 
 class LineObjective:
@@ -458,8 +466,10 @@ def psd_solve(
     the solve and is reported (see the module docstring).
 
     ``phi_init`` may supply a better starting iterate (the adaptive driver
-    passes a linear extrapolation of the two previous states); it is used
-    only when admissible and mean-consistent with ``phi_n``.
+    passes the quadratic extrapolation of the last three accepted states).
+    It is shifted to the mean of ``phi_n`` and used only when the shifted
+    field keeps half of phi_n's distance to +-1; otherwise the solve starts
+    from ``phi_n``.
 
     The requested tolerance is floored at the representable limit
     eps_machine * ||phi_n||_2 * rms(symbol): rounding the state itself
@@ -476,9 +486,8 @@ def psd_solve(
         f = f + source
     vol = grid.cell_volume
     f_norm = float(np.sqrt(vol * np.sum(f * f)))
-    sym = precond_symbol(ws, dt, pp, cfg)
     phi_norm = float(np.sqrt(vol * np.sum(phi_n * phi_n)))
-    fp_floor = np.finfo(float).eps * phi_norm * float(np.sqrt(np.mean(sym**2)))
+    fp_floor = np.finfo(float).eps * phi_norm * symbol_rms(ws, dt, pp, cfg)
     tol = max(cfg.tol_res * max(1.0, f_norm), fp_floor)
     if not np.isfinite(tol):
         # an overflowing floor would accept the first iterate unsolved

@@ -193,6 +193,24 @@ def newton_solve(
     return p.reshape(grid.shape)
 
 
+def masked_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> float:
+    """The admissibility step cap, one boolean mask per wall.
+
+    Largest alpha keeping ||phi + alpha d||_inf <= 1 - margin_frac (1 - ||phi||_inf):
+    the entries moving up are capped by the upper wall, those moving down by
+    the lower one, and d == 0 entries by neither (inf when d is all zero).
+    """
+    bound = 1.0 - margin_frac * (1.0 - float(np.max(np.abs(phi))))
+    cap = np.inf
+    pos = d > 0
+    if np.any(pos):
+        cap = min(cap, float(np.min((bound - phi[pos]) / d[pos])))
+    neg = d < 0
+    if np.any(neg):
+        cap = min(cap, float(np.min((-bound - phi[neg]) / d[neg])))
+    return cap
+
+
 def smooth_admissible_field(grid: Grid, rng: np.random.Generator, amplitude: float = 0.6) -> np.ndarray:
     """Band-limited random field with sup norm <= amplitude < 1."""
     mesh = grid.mesh()

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -441,6 +442,24 @@ class TestMainExitCodes:
         out = tmp_path / "out"
         args = ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", setting]
         assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "run.t_end=0.001"],
+            ["convergence", "--set", "convergence.n_list=8,16"],
+        ],
+        ids=["run", "convergence"],
+    )
+    @pytest.mark.parametrize("theta", ["solver.theta1=1e308", "solver.theta2=1e308"])
+    def test_overflowing_symbol_is_config_error(self, tmp_path, capsys, args, theta):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            assert main([*args, "--set", theta, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the preconditioner symbol overflows")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fchsim.dynamics
 from fchsim.dynamics import (
     ENERGY_SLACK_FACTOR,
     MASS_RTOL,
     AdaptiveConfig,
     StabilityViolationError,
+    _extrapolate,
     advance_adaptive,
     advance_fixed,
     step,
@@ -23,7 +25,7 @@ from fchsim.scenarios import (
     preset,
     well_depth,
 )
-from fchsim.solver import LineSearchError, SolverConfig
+from fchsim.solver import LineSearchError, SolverConfig, SolverDivergedError, psd_solve
 
 from oracles import smooth_admissible_field
 
@@ -194,6 +196,71 @@ class TestAdvanceFixed:
         seen = []
         advance_fixed(phi, 0.01, 3, g, PP, CFG, ws, sink=lambda r, p: seen.append(r.step))
         assert seen == [1, 2, 3]
+
+
+class TestPredictor:
+    def test_reproduces_quadratic_in_time(self):
+        rng = np.random.default_rng(70)
+        a, b, c = (rng.standard_normal((8, 8)) for _ in range(3))
+
+        def field(t):
+            return a + b * t + c * t * t
+
+        h1, h2, tau = 0.3, 0.7, 0.45
+        t_n = 1.1
+        states = [field(t_n), field(t_n - h1), field(t_n - h1 - h2)]
+        got = _extrapolate(states, [h1, h2], tau)
+        want = field(t_n + tau)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_linear_then_none(self):
+        rng = np.random.default_rng(71)
+        a, b = rng.standard_normal((2, 8, 8))
+        got = _extrapolate([a + 0.2 * b, a], [0.2], 0.05)
+        assert np.max(np.abs(got - (a + 0.25 * b))) <= 1e-14 * np.max(np.abs(a + 0.25 * b))
+        assert _extrapolate([a], [], 0.05) is None
+
+    def test_rejected_attempts_stay_out_of_the_history(self, monkeypatch):
+        # the shrink-and-redo set-up, with a growth bound dt can meet: the
+        # first attempts are rejected by the rate bound, two later solves are
+        # made to fail, and dt varies.  Every seed must be the extrapolation
+        # of the states the sink saw accepted, with their dt.
+        g = Grid.square(16)
+        ws = SpectralWorkspace(g)
+        pp = PhysParams(eps=0.1, eta=2.0, lam=well_depth(0.9), p=1)
+        phi = init_spinodal(g, seed=68)
+        probe, _ = step(phi, 2e-3, g, pp, CFG, ws)
+        full_change = norm(probe - phi, g, "l2")
+        acfg = AdaptiveConfig(
+            dt_max=2e-3, rate_hi=full_change / 4, rate_lo=full_change / 8, dt_min=1e-10
+        )
+        accepted = [(phi, None)]
+        seeds = []
+        failing = (20, 30)
+
+        def spy(phi_n, dt, *args, phi_init=None, **kwargs):
+            seeds.append((len(accepted), dt, phi_init))
+            if len(seeds) in failing:
+                raise SolverDivergedError("forced", residual=np.nan, iterations=0)
+            return psd_solve(phi_n, dt, *args, phi_init=phi_init, **kwargs)
+
+        monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
+        records, _ = advance_adaptive(
+            phi, 1e-3, g, pp, acfg, CFG, ws,
+            sink=lambda rec, phi_now: accepted.append((phi_now.copy(), rec.dt)),
+        )
+        assert seeds[0][0] == seeds[1][0] == 1  # rejected by the rate bound
+        assert all(seeds[n - 1][0] >= 3 for n in failing)  # failed with a quadratic seed
+        assert len({rec.dt for rec in records}) > 2
+        for k, dt, phi_init in seeds:
+            history = accepted[:k][::-1][:3]
+            want = _extrapolate(
+                [s for s, _ in history], [h for _, h in history[:-1]], dt
+            )
+            if want is None:
+                assert phi_init is None
+            else:
+                assert np.array_equal(phi_init, want)
 
 
 class TestAdvanceAdaptive:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fchsim.solver
+from fchsim.dynamics import MASS_RTOL
 from fchsim.energy import (
     energy_total,
     linear_terms,
@@ -22,7 +23,13 @@ from fchsim.solver import (
     psd_solve,
 )
 
-from oracles import dense_laplacian, newton_solve, smooth_admissible_field, spectral_norm_hm1
+from oracles import (
+    dense_laplacian,
+    masked_step_cap,
+    newton_solve,
+    smooth_admissible_field,
+    spectral_norm_hm1,
+)
 
 PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 CFG = SolverConfig()
@@ -159,6 +166,19 @@ class TestLineSearch:
         bound = 1.0 - 1e-4 * (1.0 - sup0)
         assert np.max(np.abs(phi + cap * d)) <= bound * (1 + 1e-12)
         assert np.max(np.abs(phi + 1.01 * cap * d)) > bound
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_step_cap_equals_masked_formulation(self, n):
+        # bit for bit, with a tenth of d exactly zero
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            phi = rng.uniform(-0.95, 0.95, (n, n))
+            d = rng.standard_normal((n, n))
+            d[rng.random((n, n)) < 0.1] = 0.0
+            margin = rng.uniform(1e-6, 0.5)
+            assert admissible_step_cap(phi, d, margin) == masked_step_cap(phi, d, margin)
+        d = np.zeros((n, n))
+        assert admissible_step_cap(phi, d, 1e-4) == masked_step_cap(phi, d, 1e-4) == np.inf
 
     def test_matches_scan_oracle(self):
         # root position against a brute scan of the naive g plus bisection
@@ -416,6 +436,32 @@ class TestPsdSolve:
         with pytest.raises(SolverDivergedError) as info:
             psd_solve(phi, dt, g, PP, SolverConfig(theta1=1e308), ws)
         assert info.value.iterations == 0
+
+    def test_inadmissible_seed_is_dropped(self):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 55)
+        plain, plain_report = psd_solve(phi, dt, g, PP, CFG, ws)
+        seed = 2.0 * phi  # re-centred, it still leaves the solver's headroom
+        seeded, report = psd_solve(phi, dt, g, PP, CFG, ws, phi_init=seed)
+        assert np.array_equal(seeded, plain)
+        assert report == plain_report
+
+    def test_seed_mean_is_recentred(self):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 56, offset=0.1)
+        plain, plain_report = psd_solve(phi, dt, g, PP, CFG, ws)
+        seeded, report = psd_solve(phi, dt, g, PP, CFG, ws, phi_init=plain + 0.05)
+        assert report.iterations < plain_report.iterations  # the seed was taken
+        assert abs(seeded.mean() - phi.mean()) <= MASS_RTOL * max(1.0, abs(phi.mean()))
+        assert norm(seeded - plain, g, "l2") <= 1e-6
+
+    def test_good_seed_takes_fewer_iterations(self):
+        # the solution at a nearby dt is an admissible, close first iterate
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 57)
+        nearby, _ = psd_solve(phi, 0.9 * dt, g, PP, CFG, ws)
+        plain, plain_report = psd_solve(phi, dt, g, PP, CFG, ws)
+        seeded, report = psd_solve(phi, dt, g, PP, CFG, ws, phi_init=nearby)
+        assert report.iterations < plain_report.iterations
+        f_norm = norm(rhs_explicit(phi, dt, g, PP), g, "l2")
+        assert report.residual <= CFG.tol_res * max(1.0, f_norm)
 
     def test_rejects_inadmissible_start(self):
         from fchsim.potential import PotentialDomainError
