@@ -29,16 +29,24 @@ or :class:`PotentialDomainError`) is a rejected attempt too: it is redone at
 the shrunk dt, and the error propagates only from an attempt at ``dt_min``.
 A :class:`StabilityViolationError` always propagates.
 
-The adaptive driver seeds each solve with a predictor: the quadratic
-Lagrange extrapolation through the last three accepted states to the
-attempted time (linear while only two exist, none at the first step).  Only
-accepted steps enter its history.  The fixed driver starts every solve from
-the current state.
+Both drivers run one loop.  A fixed run is the adaptive loop with
+``dt_min == dt_max == dt``: its rate bound never rejects, a failed solve
+propagates at once, and its dt never grows.  The loop counts t in whole
+steps from the last change of dt, so a run at constant dt accumulates no
+round-off, and the last step lands exactly on the horizon; a remainder
+below 1e-12 of |t| is round-off and joins the last step.
+
+Each solve is seeded with a predictor: the quadratic Lagrange extrapolation
+through the last three accepted states to the attempted time (linear while
+only two exist, none at the first step).  Only accepted steps enter its
+history, which starts empty at each call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -200,38 +208,22 @@ def advance_fixed(
     source_fn: Callable[[float], np.ndarray] | None = None,
     sink: Callable[[DiagnosticsRecord, np.ndarray], None] | None = None,
 ) -> tuple[list[DiagnosticsRecord], np.ndarray]:
-    """Exactly ``n_steps`` steps at constant dt.
+    """Exactly ``n_steps`` steps at constant dt from ``t0``.
 
+    This is the adaptive loop with its controller pinned at dt
+    (``dt_min == dt_max == dt``): the rate bound never rejects, a failed
+    solve propagates at once, and every solve is seeded by the predictor.
     ``source_fn(t)`` supplies the forcing for manufactured-solution runs,
-    evaluated at the step start (explicit source placement, first-order
-    consistent like the scheme itself).  ``sink`` receives every accepted
-    record together with the new state.
+    evaluated at the step start t0 + k dt (explicit source placement,
+    first-order consistent like the scheme itself).  ``sink`` receives every
+    accepted record together with the new state.
     """
-    records: list[DiagnosticsRecord] = []
-    mass_ref = float(np.mean(phi))
-    prev_total: float | None = None
-    t = t0
-    for k in range(n_steps):
-        source = source_fn(t) if source_fn is not None else None
-        phi, rec = step(
-            phi,
-            dt,
-            grid,
-            pp,
-            cfg,
-            ws,
-            t=t,
-            index=k + 1,
-            source=source,
-            prev_total=prev_total,
-            mass_ref=mass_ref,
-        )
-        t = t0 + (k + 1) * dt
-        prev_total = rec.e_fch
-        records.append(rec)
-        if sink is not None:
-            sink(rec, phi)
-    return records, phi
+    _require(isinstance(n_steps, Integral) and n_steps >= 0, "n_steps", n_steps,
+             "a nonnegative integer")
+    _require(0 < dt < math.inf, "dt", dt, "positive and finite")
+    _require(math.isfinite(t0), "t0", t0, "finite")
+    pinned = AdaptiveConfig(dt_max=dt, dt_min=dt)
+    return _advance(phi, t0, t0 + n_steps * dt, grid, pp, pinned, cfg, ws, source_fn, sink)
 
 
 def advance_adaptive(
@@ -246,60 +238,65 @@ def advance_adaptive(
     sink: Callable[[DiagnosticsRecord, np.ndarray], None] | None = None,
 ) -> tuple[list[DiagnosticsRecord], np.ndarray]:
     """Adaptive run to ``t_end``; the final partial step lands exactly there."""
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    records: list[DiagnosticsRecord] = []
-    if t_end == 0:
-        return records, phi
+    _require(0 <= t_end < math.inf, "t_end", t_end, "nonnegative and finite")
+    return _advance(phi, 0.0, t_end, grid, pp, acfg, cfg, ws, None, sink)
 
+
+def _require(ok: bool, name: str, value, need: str) -> None:
+    """Raise a ValueError naming the driver argument ``name`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
+def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
+    """The time loop of both drivers: accepted steps from t0 to t_end."""
+    records: list[DiagnosticsRecord] = []
     mass_ref = float(np.mean(phi))
     prev_total = energy_total(phi, grid, pp).total
     dt = min(acfg.dt_init if acfg.dt_init is not None else acfg.dt_max, acfg.dt_max)
     dt = max(dt, acfg.dt_min)
-    t = 0.0
-    index = 0
+    # t counts whole steps from the last change of dt, t = t_run + k * dt_run,
+    # so a run at constant dt accumulates no round-off; the last step absorbs
+    # what remains, scaled by the size of t
+    slack = 1e-12 * max(abs(t0), abs(t_end))
+    t = t_run = t0
+    dt_run, k = None, 0
     # the last three accepted states, newest first, and the dt between them
     states: list[np.ndarray] = [phi]
     gaps: list[float] = []
     while t < t_end:
         remaining = t_end - t
-        dt_step = min(dt, remaining)
-        final = dt_step >= remaining * (1.0 - 1e-12)
-        if final:
-            dt_step = remaining
+        final = dt >= remaining - slack
+        dt_step = remaining if final else dt
+        # a last step stretched by round-off is at the floor when dt is
+        at_floor = min(dt, dt_step) <= acfg.dt_min
 
         # The extrapolated accepted states seed the solver; inadmissible
         # predictions are dropped inside the solver.
         phi_init = _extrapolate(states, gaps, dt_step)
+        source = source_fn(t) if source_fn is not None else None
 
         try:
             phi_new, rec = step(
-                phi,
-                dt_step,
-                grid,
-                pp,
-                cfg,
-                ws,
-                t=t,
-                index=index + 1,
-                prev_total=prev_total,
-                mass_ref=mass_ref,
-                phi_init=phi_init,
+                phi, dt_step, grid, pp, cfg, ws, t=t, index=len(records) + 1,
+                source=source, prev_total=prev_total, mass_ref=mass_ref, phi_init=phi_init,
             )
         except (SolverDivergedError, LineSearchError, PotentialDomainError):
-            if dt_step <= acfg.dt_min:
+            if at_floor:
                 raise
             dt = max(dt_step * acfg.shrink, acfg.dt_min)
             continue
         r_energy = abs(rec.e_fch - prev_total)
         r_phase = norm(phi_new - phi, grid, "l2")
 
-        if max(r_energy, r_phase) > acfg.rate_hi and dt_step > acfg.dt_min:
+        if max(r_energy, r_phase) > acfg.rate_hi and not at_floor:
             dt = max(dt_step * acfg.shrink, acfg.dt_min)
             continue
 
-        index += 1
-        t = t_end if final else t + dt_step
+        if dt_step != dt_run:
+            t_run, dt_run, k = t, dt_step, 0
+        k += 1
+        t = t_end if final else t_run + k * dt_run
         phi = phi_new
         states = [phi, *states[:2]]
         gaps = [dt_step, *gaps[:1]]

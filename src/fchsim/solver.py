@@ -465,8 +465,9 @@ def psd_solve(
     the carried iterate state; only a residual recomputed from scratch ends
     the solve and is reported (see the module docstring).
 
-    ``phi_init`` may supply a better starting iterate (the adaptive driver
-    passes the quadratic extrapolation of the last three accepted states).
+    ``phi_init`` may supply a better starting iterate (the time loop of
+    both drivers passes the quadratic extrapolation of the last three
+    accepted states).
     It is shifted to the mean of ``phi_n`` and used only when the shifted
     field keeps half of phi_n's distance to +-1; otherwise the solve starts
     from ``phi_n``.

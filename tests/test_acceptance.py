@@ -15,17 +15,12 @@ minutes for the convergence tables and several minutes for the spinodal run.
 import numpy as np
 import pytest
 
-from fchsim.dynamics import AdaptiveConfig, advance_adaptive, advance_fixed, step
+from fchsim.cli import _convergence_error
+from fchsim.dynamics import AdaptiveConfig, advance_adaptive, step
 from fchsim.energy import energy_total, rhs_explicit, var_concave, var_convex
 from fchsim.grid import Grid, SpectralWorkspace, cell_diff, face_diff, inner, norm
 from fchsim.potential import PhysParams
-from fchsim.scenarios import (
-    init_pearling,
-    init_spinodal,
-    manufactured_forcing,
-    manufactured_state,
-    well_depth,
-)
+from fchsim.scenarios import init_pearling, init_spinodal, well_depth
 from fchsim.solver import SolverConfig, precond_solve, psd_solve
 
 from oracles import (
@@ -44,24 +39,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _convergence_rows(coupling: str, n_list, t_final=0.32):
+    """(n, l2 error) per grid, from the harness ``fchsim convergence`` runs."""
     pp = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
     cfg = SolverConfig()
-    rows = []
-    for n in n_list:
-        g = Grid.square(n)
-        ws = SpectralWorkspace(g)
-        h = g.spacing[0]
-        dt_nominal = 16.0 * h * h if coupling == "dt16h2" else h
-        steps = max(1, round(t_final / dt_nominal))
-        dt = t_final / steps
-        phi = manufactured_state(g, 0.0)
-        _, phi_end = advance_fixed(
-            phi, dt, steps, g, pp, cfg, ws,
-            source_fn=lambda t: manufactured_forcing(g, t, pp, 4),
-        )
-        err = norm(phi_end - manufactured_state(g, t_final), g, "l2")
-        rows.append((n, err))
-    return rows
+    return [(n, _convergence_error(n, coupling, t_final, pp, cfg, 4)[2]) for n in n_list]
 
 
 @pytest.fixture(scope="module")
@@ -127,20 +108,7 @@ class TestRateInsensitivityToSolverTolerance:
         errors = {}
         for tol in (1e-9, 1e-7):
             cfg = SolverConfig(tol_res=tol)
-            errs = []
-            for n in (16, 32):
-                g = Grid.square(n)
-                ws = SpectralWorkspace(g)
-                h = g.spacing[0]
-                steps = max(1, round(0.32 / (16 * h * h)))
-                dt = 0.32 / steps
-                phi = manufactured_state(g, 0.0)
-                _, phi_end = advance_fixed(
-                    phi, dt, steps, g, pp, cfg, ws,
-                    source_fn=lambda t: manufactured_forcing(g, t, pp, 4),
-                )
-                errs.append(norm(phi_end - manufactured_state(g, 0.32), g, "l2"))
-            errors[tol] = errs
+            errors[tol] = [_convergence_error(n, "dt16h2", 0.32, pp, cfg, 4)[2] for n in (16, 32)]
         for e_tight, e_loose in zip(errors[1e-9], errors[1e-7]):
             assert abs(e_tight - e_loose) <= 1e-4 * e_tight
 

@@ -160,13 +160,18 @@ class TestAdvanceFixed:
         assert records == []
         assert out is phi
 
-    def test_composition_bitwise(self):
+    def test_shorter_run_is_a_bitwise_prefix(self):
+        # a 2 + 2 split is not bitwise a 4-step run: the predictor's history
+        # starts empty at each call.  A shorter run is a prefix of a longer one.
         g, ws, phi = quick_setup(seed=62)
         dt = 0.01
-        recs_full, phi_full = advance_fixed(phi, dt, 4, g, PP, CFG, ws)
-        recs_a, phi_mid = advance_fixed(phi, dt, 2, g, PP, CFG, ws)
-        recs_b, phi_two = advance_fixed(phi_mid, dt, 2, g, PP, CFG, ws, t0=2 * dt)
-        assert np.array_equal(phi_full, phi_two)
+        seen = []
+        recs_full, _ = advance_fixed(
+            phi, dt, 4, g, PP, CFG, ws, sink=lambda r, p: seen.append(p.copy())
+        )
+        recs_two, phi_two = advance_fixed(phi, dt, 2, g, PP, CFG, ws)
+        assert recs_two == recs_full[:2]
+        assert np.array_equal(phi_two, seen[1])
 
     def test_determinism(self):
         g, ws, phi = quick_setup(seed=63)
@@ -197,6 +202,65 @@ class TestAdvanceFixed:
         advance_fixed(phi, 0.01, 3, g, PP, CFG, ws, sink=lambda r, p: seen.append(r.step))
         assert seen == [1, 2, 3]
 
+    def test_source_times_count_whole_steps(self):
+        t0, dt, n = 1.0, 0.003, 10
+        exact = [t0 + k * dt for k in range(n)]
+        summed = [t0]
+        for _ in range(n - 1):
+            summed.append(summed[-1] + dt)
+        assert summed != exact  # summing dt would drift for this pair
+        g, ws, phi = quick_setup(seed=65)
+        times = []
+
+        def source_fn(t):
+            times.append(t)
+            return g.full(0.0)
+
+        advance_fixed(phi, dt, n, g, PP, CFG, ws, t0=t0, source_fn=source_fn)
+        assert times == exact
+
+    def test_failed_solve_propagates_at_once(self, monkeypatch):
+        g, ws, phi = quick_setup(seed=65)
+        dts = []
+
+        def spy(phi_n, dt, *args, **kwargs):
+            dts.append(dt)
+            if len(dts) == 2:
+                raise SolverDivergedError("forced", residual=np.nan, iterations=0)
+            return psd_solve(phi_n, dt, *args, **kwargs)
+
+        monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
+        with pytest.raises(SolverDivergedError):
+            advance_fixed(phi, 0.01, 4, g, PP, CFG, ws)
+        assert dts == [0.01, 0.01]
+
+    def test_far_from_zero_takes_exactly_n_steps(self, monkeypatch):
+        # t_end - (t0 + 4 dt) exceeds dt by 4.2e-13 here, round-off of t far
+        # above dt's own; the last step absorbs it instead of adding a sliver,
+        # and it is still at the floor: its failure propagates at once
+        g = Grid.square(8)
+        ws = SpectralWorkspace(g)
+        t0, dt = 1e4, 0.011
+        records, _ = advance_fixed(g.full(0.2), dt, 5, g, PP, CFG, ws, t0=t0)
+        assert len(records) == 5
+        assert records[-1].t == t0 + 5 * dt
+        assert records[-1].dt > dt
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) > 5:
+                raise AssertionError("the last step was retried")
+            if len(calls) == 5:
+                raise SolverDivergedError("forced", residual=np.nan, iterations=0)
+            return psd_solve(*args, **kwargs)
+
+        monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
+        with pytest.raises(SolverDivergedError):
+            advance_fixed(g.full(0.2), dt, 5, g, PP, CFG, ws, t0=t0)
+        assert len(calls) == 5
+
 
 class TestPredictor:
     def test_reproduces_quadratic_in_time(self):
@@ -224,7 +288,8 @@ class TestPredictor:
         # the shrink-and-redo set-up, with a growth bound dt can meet: the
         # first attempts are rejected by the rate bound, two later solves are
         # made to fail, and dt varies.  Every seed must be the extrapolation
-        # of the states the sink saw accepted, with their dt.
+        # of the states the sink saw accepted, with their dt.  A fixed run
+        # from the same state goes through the same loop.
         g = Grid.square(16)
         ws = SpectralWorkspace(g)
         pp = PhysParams(eps=0.1, eta=2.0, lam=well_depth(0.9), p=1)
@@ -234,33 +299,79 @@ class TestPredictor:
         acfg = AdaptiveConfig(
             dt_max=2e-3, rate_hi=full_change / 4, rate_lo=full_change / 8, dt_min=1e-10
         )
-        accepted = [(phi, None)]
-        seeds = []
+
+        def checked_seeds(run, failing=()):
+            """Run with a spy on the solver; check and return its seeds."""
+            accepted = [(phi, None)]
+            seeds = []
+
+            def spy(phi_n, dt, *args, phi_init=None, **kwargs):
+                seeds.append((len(accepted), dt, phi_init))
+                if len(seeds) in failing:
+                    raise SolverDivergedError("forced", residual=np.nan, iterations=0)
+                return psd_solve(phi_n, dt, *args, phi_init=phi_init, **kwargs)
+
+            monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
+            records, _ = run(lambda rec, phi_now: accepted.append((phi_now.copy(), rec.dt)))
+            for k, dt, phi_init in seeds:
+                history = accepted[:k][::-1][:3]
+                want = _extrapolate(
+                    [s for s, _ in history], [h for _, h in history[:-1]], dt
+                )
+                if want is None:
+                    assert phi_init is None
+                else:
+                    assert np.array_equal(phi_init, want)
+            return seeds, records
+
         failing = (20, 30)
-
-        def spy(phi_n, dt, *args, phi_init=None, **kwargs):
-            seeds.append((len(accepted), dt, phi_init))
-            if len(seeds) in failing:
-                raise SolverDivergedError("forced", residual=np.nan, iterations=0)
-            return psd_solve(phi_n, dt, *args, phi_init=phi_init, **kwargs)
-
-        monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
-        records, _ = advance_adaptive(
-            phi, 1e-3, g, pp, acfg, CFG, ws,
-            sink=lambda rec, phi_now: accepted.append((phi_now.copy(), rec.dt)),
+        seeds, records = checked_seeds(
+            lambda sink: advance_adaptive(phi, 1e-3, g, pp, acfg, CFG, ws, sink=sink),
+            failing,
         )
         assert seeds[0][0] == seeds[1][0] == 1  # rejected by the rate bound
         assert all(seeds[n - 1][0] >= 3 for n in failing)  # failed with a quadratic seed
         assert len({rec.dt for rec in records}) > 2
-        for k, dt, phi_init in seeds:
-            history = accepted[:k][::-1][:3]
-            want = _extrapolate(
-                [s for s, _ in history], [h for _, h in history[:-1]], dt
-            )
-            if want is None:
-                assert phi_init is None
+
+        seeds, _ = checked_seeds(
+            lambda sink: advance_fixed(phi, 1e-4, 6, g, pp, CFG, ws, sink=sink)
+        )
+        # unseeded, then linear, then quadratic
+        assert [k for k, _, _ in seeds] == [1, 2, 3, 4, 5, 6]
+        assert seeds[0][2] is None and seeds[1][2] is not None
+
+
+def _raise_on_solve(*args, **kwargs):
+    raise AssertionError("a solve started despite a bad argument")
+
+
+class TestDriverArguments:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_steps", -1),
+            ("n_steps", 2.5),
+            ("dt", 0.0),
+            ("dt", -0.01),
+            ("dt", np.nan),
+            ("dt", np.inf),
+            ("t0", np.nan),
+            ("t0", -np.inf),
+            ("t_end", -1.0),
+            ("t_end", np.nan),
+            ("t_end", np.inf),
+        ],
+    )
+    def test_bad_argument_fails_before_any_solve(self, monkeypatch, name, value):
+        monkeypatch.setattr(fchsim.dynamics, "psd_solve", _raise_on_solve)
+        g, ws, phi = quick_setup()
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            if name == "t_end":
+                advance_adaptive(phi, value, g, PP, AdaptiveConfig(), CFG, ws)
             else:
-                assert np.array_equal(phi_init, want)
+                args = dict(dt=0.01, n_steps=2, t0=0.0)
+                args[name] = value
+                advance_fixed(phi, args["dt"], args["n_steps"], g, PP, CFG, ws, t0=args["t0"])
 
 
 class TestAdvanceAdaptive:
@@ -350,6 +461,19 @@ class TestAdvanceAdaptive:
         floor = AdaptiveConfig(dt_max=2e-6, dt_min=2e-6)
         with pytest.raises(LineSearchError):
             advance_adaptive(phi, 2e-6, scn.grid, scn.phys, floor, cfg, ws)
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-13])
+    def test_no_round_off_sliver_step(self, excess):
+        # summing dt would reach t_end - 7.1e-15 after 217 steps and take a
+        # 218th step of that size.  An excess far below the round-off of t in
+        # a long run must join the last step too.
+        g = Grid.square(8)
+        ws = SpectralWorkspace(g)
+        t_end = 217 * 0.007 + excess
+        acfg = AdaptiveConfig(dt_max=0.007)
+        records, _ = advance_adaptive(g.full(0.2), t_end, g, PP, acfg, CFG, ws)
+        assert len(records) == 217
+        assert records[-1].t == t_end
 
     def test_determinism(self):
         g = Grid.square(16)
