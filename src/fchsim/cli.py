@@ -269,7 +269,8 @@ def cmd_run(cfg: RunConfig) -> int:
         def sink(rec, phi_now):
             nonlocal next_time
             diag.write(rec)
-            # a relative slack absorbs the round-off accumulated in rec.t
+            # rec.t is the loop's clock and accumulates no round-off; a
+            # relative slack absorbs its rounding against multiples of snap_time
             time_due = next_time is not None and rec.t >= next_time * (1.0 - 1e-12)
             if time_due:
                 # the first multiple of snap_time beyond rec.t, however far

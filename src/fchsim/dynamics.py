@@ -13,10 +13,10 @@ and the phase field,
     r_E = |E(phi_new) - E(phi_old)|,      r_phi = ||phi_new - phi_old||_2,
 
 redoes the step with a halved dt when either exceeds ``rate_hi``, and doubles
-dt (capped at ``dt_max``) when both fall below ``rate_lo``.  Monitoring the
-per-step change rather than the per-time rate keeps the controller
-well-posed for stiff transients, whose intrinsic time rates exceed any fixed
-bound at every usable dt.
+dt (capped at ``dt_max``) when both fall below ``rate_lo``; the factors are
+fixed.  Monitoring the per-step change rather than the per-time rate keeps
+the controller well-posed for stiff transients, whose intrinsic time rates
+exceed any fixed bound at every usable dt.
 
 Shrinking clamps at ``dt_min`` and a step at the floor is accepted even when
 its change exceeds the bound: an unprepared state sheds its excess energy in
@@ -31,10 +31,12 @@ A :class:`StabilityViolationError` always propagates.
 
 Both drivers run one loop.  A fixed run is the adaptive loop with
 ``dt_min == dt_max == dt``: its rate bound never rejects, a failed solve
-propagates at once, and its dt never grows.  The loop counts t in whole
-steps from the last change of dt, so a run at constant dt accumulates no
-round-off, and the last step lands exactly on the horizon; a remainder
-below 1e-12 of |t| is round-off and joins the last step.
+propagates at once, and its dt never grows.  The loop is the only clock:
+it counts t in whole steps from the last change of dt, so a run at
+constant dt accumulates no round-off, and it hands each step the time the
+record is stamped with.  Every step is a whole dt but a last one that is
+genuinely shorter; a remainder within 1e-12 |t| of dt is round-off and is
+taken at dt, landing exactly on the horizon.
 
 Each solve is seeded with a predictor: the quadratic Lagrange extrapolation
 through the last three accepted states to the attempted time (linear while
@@ -83,14 +85,12 @@ class StabilityViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Step-size controller bounds and factors."""
+    """Step-size controller bounds."""
 
     dt_max: float = 2e-3
     dt_min: float = 1e-8
     rate_hi: float = 1e-1
     rate_lo: float = 1e-3
-    grow: float = 2.0
-    shrink: float = 0.5
     dt_init: Optional[float] = None
 
     def __post_init__(self):
@@ -98,8 +98,6 @@ class AdaptiveConfig:
             raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
         if not self.rate_lo < self.rate_hi:
             raise ValueError(f"need rate_lo < rate_hi, got {self.rate_lo}, {self.rate_hi}")
-        if not (self.grow > 1.0 > self.shrink > 0.0):
-            raise ValueError(f"need grow > 1 > shrink > 0, got {self.grow}, {self.shrink}")
         if self.dt_init is not None and not self.dt_init > 0:
             raise ValueError(f"dt_init must be positive, got {self.dt_init}")
 
@@ -131,7 +129,7 @@ def step(
     cfg: SolverConfig,
     ws: SpectralWorkspace,
     *,
-    t: float = 0.0,
+    t_new: float = 0.0,
     index: int = 0,
     source: np.ndarray | None = None,
     prev_total: float | None = None,
@@ -140,12 +138,13 @@ def step(
 ) -> tuple[np.ndarray, DiagnosticsRecord]:
     """Advance one step and assert mass, separation and energy decay.
 
-    ``source`` adds an explicit forcing to the right-hand side (used by the
-    manufactured-solution harness); forcing does work on the system, so the
-    energy-decay assertion is skipped in that case.  ``prev_total`` avoids
-    recomputing the current energy when the caller already has it;
-    ``mass_ref`` is the conserved mean (defaults to the current one);
-    ``phi_init`` seeds the solver iteration.
+    The record is stamped with ``t_new``, the step's end time on the
+    caller's clock.  ``source`` adds an explicit forcing to the right-hand
+    side (used by the manufactured-solution harness); forcing does work on
+    the system, so the energy-decay assertion is skipped in that case.
+    ``prev_total`` avoids recomputing the current energy when the caller
+    already has it; ``mass_ref`` is the conserved mean (defaults to the
+    current one); ``phi_init`` seeds the solver iteration.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
@@ -155,7 +154,8 @@ def step(
         phi, dt, grid, pp, cfg, ws, source=source, phi_init=phi_init
     )
 
-    sup = float(np.max(np.abs(phi_new)))
+    phi_min, phi_max = float(np.min(phi_new)), float(np.max(phi_new))
+    sup = max(-phi_min, phi_max)
     if sup >= 1.0:
         raise StabilityViolationError("sup norm of phi", sup, 1.0, index)
 
@@ -179,14 +179,14 @@ def step(
 
     record = DiagnosticsRecord(
         step=index,
-        t=t + dt,
+        t=t_new,
         dt=dt,
         e_fch=eb.total,
         e_ch=eb.cahn_hilliard,
         e_pfw=eb.willmore,
         mass=mass_after,
-        phi_min=float(np.min(phi_new)),
-        phi_max=float(np.max(phi_new)),
+        phi_min=phi_min,
+        phi_max=phi_max,
         h2_norm=norm(phi_new, grid, "h2"),
         grad_mu=grad_mu,
         psd_iters=report.iterations,
@@ -208,15 +208,15 @@ def advance_fixed(
     source_fn: Callable[[float], np.ndarray] | None = None,
     sink: Callable[[DiagnosticsRecord, np.ndarray], None] | None = None,
 ) -> tuple[list[DiagnosticsRecord], np.ndarray]:
-    """Exactly ``n_steps`` steps at constant dt from ``t0``.
+    """Exactly ``n_steps`` steps of exactly dt from ``t0``.
 
     This is the adaptive loop with its controller pinned at dt
     (``dt_min == dt_max == dt``): the rate bound never rejects, a failed
     solve propagates at once, and every solve is seeded by the predictor.
     ``source_fn(t)`` supplies the forcing for manufactured-solution runs,
     evaluated at the step start t0 + k dt (explicit source placement,
-    first-order consistent like the scheme itself).  ``sink`` receives every
-    accepted record together with the new state.
+    first-order consistent like the scheme itself), which is record k's t.
+    ``sink`` receives every accepted record together with the new state.
     """
     _require(isinstance(n_steps, Integral) and n_steps >= 0, "n_steps", n_steps,
              "a nonnegative integer")
@@ -237,7 +237,7 @@ def advance_adaptive(
     *,
     sink: Callable[[DiagnosticsRecord, np.ndarray], None] | None = None,
 ) -> tuple[list[DiagnosticsRecord], np.ndarray]:
-    """Adaptive run to ``t_end``; the final partial step lands exactly there."""
+    """Adaptive run to ``t_end``; the last step lands exactly there."""
     _require(0 <= t_end < math.inf, "t_end", t_end, "nonnegative and finite")
     return _advance(phi, 0.0, t_end, grid, pp, acfg, cfg, ws, None, sink)
 
@@ -255,9 +255,9 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
     prev_total = energy_total(phi, grid, pp).total
     dt = min(acfg.dt_init if acfg.dt_init is not None else acfg.dt_max, acfg.dt_max)
     dt = max(dt, acfg.dt_min)
-    # t counts whole steps from the last change of dt, t = t_run + k * dt_run,
-    # so a run at constant dt accumulates no round-off; the last step absorbs
-    # what remains, scaled by the size of t
+    # the only clock: t = t_run + k * dt_run counts whole steps from the last
+    # change of dt, so a run at constant dt accumulates no round-off.  A
+    # remainder within round-off of dt, scaled by the size of t, is taken at dt
     slack = 1e-12 * max(abs(t0), abs(t_end))
     t = t_run = t0
     dt_run, k = None, 0
@@ -266,10 +266,12 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
     gaps: list[float] = []
     while t < t_end:
         remaining = t_end - t
-        final = dt >= remaining - slack
-        dt_step = remaining if final else dt
-        # a last step stretched by round-off is at the floor when dt is
-        at_floor = min(dt, dt_step) <= acfg.dt_min
+        final = remaining <= dt + slack
+        dt_step = remaining if remaining < dt - slack else dt
+        at_floor = dt_step <= acfg.dt_min
+        if dt_step != dt_run:
+            t_run, dt_run, k = t, dt_step, 0
+        t_new = t_end if final else t_run + (k + 1) * dt_run
 
         # The extrapolated accepted states seed the solver; inadmissible
         # predictions are dropped inside the solver.
@@ -278,25 +280,22 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
 
         try:
             phi_new, rec = step(
-                phi, dt_step, grid, pp, cfg, ws, t=t, index=len(records) + 1,
+                phi, dt_step, grid, pp, cfg, ws, t_new=t_new, index=len(records) + 1,
                 source=source, prev_total=prev_total, mass_ref=mass_ref, phi_init=phi_init,
             )
         except (SolverDivergedError, LineSearchError, PotentialDomainError):
             if at_floor:
                 raise
-            dt = max(dt_step * acfg.shrink, acfg.dt_min)
+            dt = max(dt_step / 2, acfg.dt_min)
             continue
         r_energy = abs(rec.e_fch - prev_total)
         r_phase = norm(phi_new - phi, grid, "l2")
 
         if max(r_energy, r_phase) > acfg.rate_hi and not at_floor:
-            dt = max(dt_step * acfg.shrink, acfg.dt_min)
+            dt = max(dt_step / 2, acfg.dt_min)
             continue
 
-        if dt_step != dt_run:
-            t_run, dt_run, k = t, dt_step, 0
-        k += 1
-        t = t_end if final else t_run + k * dt_run
+        t, k = t_new, k + 1
         phi = phi_new
         states = [phi, *states[:2]]
         gaps = [dt_step, *gaps[:1]]
@@ -305,7 +304,7 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
         if sink is not None:
             sink(rec, phi)
         if r_energy < acfg.rate_lo and r_phase < acfg.rate_lo:
-            dt = min(dt * acfg.grow, acfg.dt_max)
+            dt = min(dt * 2, acfg.dt_max)
     return records, phi
 
 

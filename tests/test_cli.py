@@ -26,10 +26,8 @@ PEARLING_MANIFEST = """\
 
 adaptive.dt_max = 0.002
 adaptive.dt_min = 1e-08
-adaptive.grow = 2.0
 adaptive.rate_hi = 0.1
 adaptive.rate_lo = 0.001
-adaptive.shrink = 0.5
 grid.lx = 1.0
 grid.ly = 1.0
 grid.nx = 64
@@ -417,7 +415,9 @@ class TestCommands:
 
 class TestMainExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
-        assert main(["run", "--set", "bogus.key=1", "--out", str(tmp_path)]) == 2
+        # adaptive.grow was a key until the controller's factors were fixed
+        for setting in ["bogus.key=1", "adaptive.grow=2.0"]:
+            assert main(["run", "--set", setting, "--out", str(tmp_path)]) == 2
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         assert main(["run", "--set", "scenario=warp", "--out", str(tmp_path)]) == 2

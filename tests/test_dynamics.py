@@ -48,8 +48,6 @@ class TestAdaptiveConfig:
             dict(dt_min=0.0),
             dict(dt_min=1.0, dt_max=0.5),
             dict(rate_lo=0.2, rate_hi=0.1),
-            dict(grow=0.9),
-            dict(shrink=1.5),
             dict(dt_init=0.0),
             dict(dt_init=-1e-3),
         ],
@@ -72,9 +70,9 @@ class TestStep:
 
     def test_record_fields(self):
         g, ws, phi = quick_setup()
-        phi1, rec = step(phi, 0.01, g, PP, CFG, ws, t=1.5, index=7)
+        phi1, rec = step(phi, 0.01, g, PP, CFG, ws, t_new=1.51, index=7)
         assert rec.step == 7
-        assert rec.t == pytest.approx(1.51)
+        assert rec.t == 1.51
         assert rec.dt == 0.01
         assert -1.0 < rec.phi_min <= rec.phi_max < 1.0
         assert rec.mass == pytest.approx(phi.mean(), abs=1e-12)
@@ -216,8 +214,11 @@ class TestAdvanceFixed:
             times.append(t)
             return g.full(0.0)
 
-        advance_fixed(phi, dt, n, g, PP, CFG, ws, t0=t0, source_fn=source_fn)
+        records, _ = advance_fixed(phi, dt, n, g, PP, CFG, ws, t0=t0, source_fn=source_fn)
         assert times == exact
+        # step k ends where step k + 1 starts: record k reads t0 + k dt too
+        assert [r.t for r in records] == exact[1:] + [t0 + n * dt]
+        assert all(r.dt == dt for r in records)
 
     def test_failed_solve_propagates_at_once(self, monkeypatch):
         g, ws, phi = quick_setup(seed=65)
@@ -236,15 +237,15 @@ class TestAdvanceFixed:
 
     def test_far_from_zero_takes_exactly_n_steps(self, monkeypatch):
         # t_end - (t0 + 4 dt) exceeds dt by 4.2e-13 here, round-off of t far
-        # above dt's own; the last step absorbs it instead of adding a sliver,
-        # and it is still at the floor: its failure propagates at once
+        # above dt's own; the last step is still taken at dt, lands on t_end
+        # and is at the floor: its failure propagates at once
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
         t0, dt = 1e4, 0.011
         records, _ = advance_fixed(g.full(0.2), dt, 5, g, PP, CFG, ws, t0=t0)
         assert len(records) == 5
         assert records[-1].t == t0 + 5 * dt
-        assert records[-1].dt > dt
+        assert all(r.dt == dt for r in records)
 
         calls = []
 
@@ -473,6 +474,18 @@ class TestAdvanceAdaptive:
         acfg = AdaptiveConfig(dt_max=0.007)
         records, _ = advance_adaptive(g.full(0.2), t_end, g, PP, acfg, CFG, ws)
         assert len(records) == 217
+        assert records[-1].t == t_end
+
+    def test_every_step_is_a_whole_dt(self):
+        # t_end - 59 dt exceeds dt by 5.1e-19 of round-off; the last step is
+        # still a whole dt, not the remainder, and lands on t_end
+        g = Grid.square(8)
+        ws = SpectralWorkspace(g)
+        t_end = 60 * 2e-4
+        acfg = AdaptiveConfig(dt_max=2e-4)
+        records, _ = advance_adaptive(g.full(0.2), t_end, g, PP, acfg, CFG, ws)
+        assert len(records) == 60
+        assert all(r.dt == 2e-4 for r in records)
         assert records[-1].t == t_end
 
     def test_determinism(self):
