@@ -48,6 +48,8 @@ class TestAdaptiveConfig:
             dict(dt_min=0.0),
             dict(dt_min=1.0, dt_max=0.5),
             dict(rate_lo=0.2, rate_hi=0.1),
+            dict(dt_max=0.0),
+            dict(rate_lo=0.1, rate_hi=0.1),
             dict(dt_init=0.0),
             dict(dt_init=-1e-3),
         ],
