@@ -176,8 +176,9 @@ def var_convex(
     out += pp.lam * (pp.lam + pp.eps_p_eta) * phi
     mixed = beta_second(phi)
     mixed *= terms.gsq
+    flux = np.empty(phi.shape)
     for a in range(grid.ndim):
-        flux = face_avg(b1, grid, a)
+        face_avg(b1, grid, a, out=flux)
         flux *= terms.dphi[a]
         div = cell_diff(flux, grid, a)
         div *= 2.0

@@ -19,7 +19,9 @@ solver preconditioner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +76,14 @@ class Grid:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    # Computed once per grid: the stencils read the spacing on every call.
+    # The cached values are not fields, so repr, equality and hashing are
+    # those of (shape, lengths).
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -114,26 +119,57 @@ def _check_same_grid(f: np.ndarray, g: np.ndarray, grid: Grid) -> None:
         )
 
 
-# cell -> face stencils
+# Periodic stencils
 #
-# Each stencil builds its result in the array np.roll returns and updates it
-# in place: the same operations in the same order as the plain expressions
-# in the docstrings, so the results are bit-identical, without their
-# temporaries.
+# Each stencil is one call of ``_pair`` plus a scalar scaling, in place of
+# the np.roll copies of the plain expressions in the docstrings.  The
+# operations and their order are those of the plain expressions, so the
+# results are bit-identical to them.
+
+
+def _pair(ufunc, x: np.ndarray, y: np.ndarray, axis: int, out: np.ndarray, upper: bool):
+    """ufunc(x_{i+1}, y_i) for each i along ``axis``, periodic, into ``out``.
+
+    The value of the pair (i, i+1) lands at index i, or at i + 1 when
+    ``upper``.  The interior runs over the flattened arrays, where one step
+    along ``axis`` is a fixed offset, so it is one contiguous ufunc call for
+    either axis.  Along the last axis of a 2D array that call also writes
+    pairs that straddle two rows into the wrapped layer; the second call
+    then writes the true wrapped pairs over them.  ``out`` must be
+    C-contiguous and must not overlap ``x`` or ``y``.
+    """
+    step = math.prod(x.shape[axis + 1:])
+    xf, yf, of = x.reshape(-1), y.reshape(-1), out.reshape(-1)
+    ufunc(xf[step:], yf[:-step], out=of[step:] if upper else of[:-step])
+    head = (slice(None),) * axis
+    first, last = head + (slice(None, 1),), head + (slice(-1, None),)
+    ufunc(x[first], y[last], out=out[first if upper else last])
+    return out
+
+
+# cell -> face stencils
 
 
 def face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Forward difference onto faces: (f_{i+1} - f_i) / h."""
-    out = np.roll(f, -1, axis=axis)
-    out -= f
+    out = _pair(np.subtract, f, f, axis, np.empty(f.shape), upper=False)
     out /= grid.spacing[axis]
     return out
 
 
-def face_avg(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Forward average onto faces: (f_{i+1} + f_i) / 2."""
-    out = np.roll(f, -1, axis=axis)
-    out += f
+def face_avg(
+    f: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward average onto faces: (f_{i+1} + f_i) / 2.
+
+    ``out``, if given, receives the result: a C-contiguous float64 array of
+    f's shape that does not overlap f.
+    """
+    if out is None:
+        out = np.empty(f.shape)
+    elif out.shape != f.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
+    _pair(np.add, f, f, axis, out, upper=False)
     out *= 0.5
     return out
 
@@ -143,16 +179,14 @@ def face_avg(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 def cell_diff(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Difference of the two faces of a cell: (g_{i+1/2} - g_{i-1/2}) / h."""
-    out = np.roll(g, 1, axis=axis)
-    np.subtract(g, out, out=out)
+    out = _pair(np.subtract, g, g, axis, np.empty(g.shape), upper=True)
     out /= grid.spacing[axis]
     return out
 
 
 def cell_avg(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Average of the two faces of a cell: (g_{i+1/2} + g_{i-1/2}) / 2."""
-    out = np.roll(g, 1, axis=axis)
-    out += g
+    out = _pair(np.add, g, g, axis, np.empty(g.shape), upper=True)
     out *= 0.5
     return out
 
@@ -163,11 +197,11 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     Per axis (f_{i+1} - 2 f_i + f_{i-1}) / h^2, summed over axes.
     """
     two_f = 2.0 * f
+    ahead = np.empty(f.shape)
     out = None
     for a in range(grid.ndim):
-        term = np.roll(f, -1, axis=a)
-        term -= two_f
-        term += np.roll(f, 1, axis=a)
+        _pair(np.subtract, f, two_f, a, ahead, upper=False)
+        term = _pair(np.add, ahead, f, a, np.empty(f.shape), upper=True)
         term /= grid.spacing[a] ** 2
         if out is None:
             out = term

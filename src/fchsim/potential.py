@@ -64,19 +64,54 @@ class PhysParams:
         return self.eps**self.p * self.eta
 
 
+# Each function below computes the expression in its comment with the same
+# operations in the same order, into buffers it allocates once per call.
+
+
+def _buffers(r, count: int):
+    """r as a float64 array, then ``count`` fresh arrays shaped like it.
+
+    A 0-d r gets 0-d buffers: ufuncs accept those as ``out=``, but return a
+    numpy scalar, which is no buffer, when given a 0-d input without one.
+    """
+    r = np.asarray(r, dtype=float)
+    return (r, *(np.empty_like(r) for _ in range(count)))
+
+
+def _result(a: np.ndarray):
+    """The array itself, or its numpy float64 value when it is 0-d."""
+    return a if a.ndim else a[()]
+
+
 def beta(r):
+    # log1p(r) - log1p(-r)
     require_admissible(r, "phase value")
-    return np.log1p(r) - np.log1p(-r)
+    r, out, work = _buffers(r, 2)
+    np.log1p(r, out=out)
+    out -= np.log1p(np.negative(r, out=work), out=work)
+    return _result(out)
 
 
 def beta_prime(r):
+    # 2 / (1 - r^2)
     require_admissible(r, "phase value")
-    return 2.0 / (1.0 - np.square(r))
+    r, out = _buffers(r, 1)
+    np.square(r, out=out)
+    np.subtract(1.0, out, out=out)
+    np.divide(2.0, out, out=out)
+    return _result(out)
 
 
 def beta_second(r):
+    # 4 r / (1 - r^2)^2
     require_admissible(r, "phase value")
-    return 4.0 * r / np.square(1.0 - np.square(r))
+    r, out, work = _buffers(r, 2)
+    np.square(r, out=work)
+    np.subtract(1.0, work, out=work)
+    np.square(work, out=work)
+    np.multiply(4.0, r, out=out)
+    out /= work
+    return _result(out)
 
 
 def mixing_family(r, pp: PhysParams):
@@ -85,12 +120,24 @@ def mixing_family(r, pp: PhysParams):
     B is the convex logarithmic part, F = B - lam r^2 / 2 the full density,
     f = F' its derivative.
     """
+    # B = (1 + r) log1p(r) + (1 - r) log1p(-r)
+    # F = B - (lam / 2) r^2
+    # f = log1p(r) - log1p(-r) - lam r
     require_admissible(r, "phase value")
-    r = np.asarray(r, dtype=float)
-    B = (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r)
-    F = B - 0.5 * pp.lam * np.square(r)
-    f = np.log1p(r) - np.log1p(-r) - pp.lam * r
-    return B, F, f
+    r, B, F, f, work = _buffers(r, 4)
+    np.log1p(r, out=f)
+    np.log1p(np.negative(r, out=work), out=work)
+    np.add(1.0, r, out=B)
+    B *= f
+    np.subtract(1.0, r, out=F)
+    F *= work
+    B += F
+    np.square(r, out=F)
+    F *= 0.5 * pp.lam
+    np.subtract(B, F, out=F)
+    f -= work
+    f -= np.multiply(pp.lam, r, out=work)
+    return _result(B), _result(F), _result(f)
 
 
 def admissible(f: np.ndarray) -> bool:

@@ -181,6 +181,11 @@ def manufactured_forcing(
     derivative), and so is the time derivative, sampled at the cell centers
     (every ``refine_factor``-th fine point).  The residual mean (spectrally
     small) is removed so forced runs conserve the discrete mean exactly.
+
+    Besides phi and the beta family, the lattice work runs in three buffers
+    updated in place (|grad phi|^2, a scratch term and mu), term by term in
+    the order of the formula for mu in the body, so the result is
+    bit-identical to evaluating that formula with fresh temporaries.
     """
     _require_unit_square(grid, "manufactured forcing")
     if refine_factor < 4:
@@ -199,11 +204,16 @@ def manufactured_forcing(
     cos_y = np.cos(2 * np.pi * y)
 
     cos_t = np.cos(t)
-    mode = sin_x * cos_y
-    phi = mode * (cos_t / np.pi)
-    gx = 2.0 * cos_x * cos_y * cos_t
-    gy = -2.0 * sin_x * sin_y * cos_t
-    grad_sq = gx * gx + gy * gy
+    phi = np.multiply(sin_x, cos_y)
+    phi *= cos_t / np.pi
+    # |grad phi|^2 = gx^2 + gy^2, gx = 2 cos_x cos_y cos t, gy = -2 sin_x sin_y cos t
+    grad_sq = np.multiply(2.0 * cos_x, cos_y)
+    grad_sq *= cos_t
+    grad_sq *= grad_sq
+    work = np.multiply(-2.0 * sin_x, sin_y)
+    work *= cos_t
+    work *= work
+    grad_sq += work
 
     b = beta(phi)
     b1 = beta_prime(phi)
@@ -214,21 +224,35 @@ def manufactured_forcing(
     # differentiating beta(phi) through a transform instead would stack two
     # spectral symbols and amplify rounding noise beyond the self-convergence
     # target of the refinement check.
-    lap_phi = -8.0 * np.pi**2 * phi
-    bilap_phi = 64.0 * np.pi**4 * phi
-    lap_b = b1 * lap_phi + b2 * grad_sq
-
-    mu = (
-        pp.eps**4 * bilap_phi
-        + b * b1
-        + pp.eps**2 * b2 * grad_sq
-        - 2.0 * pp.eps**2 * lap_b
-        - pp.lam * phi * b1
-        + pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta) * lap_phi
-        - (pp.lam + pp.eps_p_eta) * b
-        + pp.lam * (pp.lam + pp.eps_p_eta) * phi
-    )
-    dphi_dt = -mode[::R, ::R] * (np.sin(t) / np.pi)
+    lap_coef = -8.0 * np.pi**2
+    bilap_coef = 64.0 * np.pi**4
+    # mu = eps^4 bilap phi + b b1 + eps^2 b2 |grad phi|^2 - 2 eps^2 lap b
+    #      - lam phi b1 + eps^2 (2 lam + eps^p eta) lap phi
+    #      - (lam + eps^p eta) b + lam (lam + eps^p eta) phi,
+    # with lap b = b1 lap phi + b2 |grad phi|^2, summed term by term in this
+    # order.  Folding the terms linear in phi would round differently.
+    mu = np.multiply(bilap_coef, phi)
+    mu *= pp.eps**4
+    mu += np.multiply(b, b1, out=work)
+    np.multiply(pp.eps**2, b2, out=work)
+    work *= grad_sq
+    mu += work
+    np.multiply(lap_coef, phi, out=work)
+    work *= b1
+    grad_sq *= b2
+    work += grad_sq
+    work *= 2.0 * pp.eps**2
+    mu -= work
+    np.multiply(pp.lam, phi, out=work)
+    work *= b1
+    mu -= work
+    np.multiply(lap_coef, phi, out=work)
+    work *= pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta)
+    mu += work
+    b *= pp.lam + pp.eps_p_eta
+    mu -= b
+    mu += np.multiply(pp.lam * (pp.lam + pp.eps_p_eta), phi, out=work)
+    dphi_dt = -(sin_x[::R] * cos_y[::R]) * (np.sin(t) / np.pi)
     s = dphi_dt - _band_laplacian(mu, grid.shape, grid.lengths)
     return s - np.mean(s)
 

@@ -227,7 +227,7 @@ class LineObjective:
         self.grid = grid
         self.pp = pp
         self.terms = terms
-        self._work = [np.empty_like(phi) for _ in range(4)]
+        self._work = [np.empty(phi.shape) for _ in range(4)]
         work = self._work[0]
 
         def dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -305,7 +305,7 @@ class LineObjective:
         b1 = np.divide(2.0, one_minus, out=one_minus)
         face_sum = 0.0
         for a in range(self.grid.ndim):
-            avg_b1 = face_avg(b1, self.grid, a)
+            avg_b1 = face_avg(b1, self.grid, a, out=num)
             flux = np.multiply(self._face_q[a], alpha, out=work)
             flux += self._face_p[a]
             avg_b1 *= flux

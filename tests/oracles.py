@@ -40,6 +40,54 @@ def dense_laplacian(grid: Grid) -> np.ndarray:
     return L
 
 
+# The periodic stencils as np.roll expressions, each result built in the
+# array np.roll returns: the reference that the slice-based stencils in
+# ``fchsim.grid`` must match bit for bit.
+
+
+def roll_face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    out = np.roll(f, -1, axis=axis)
+    out -= f
+    out /= grid.spacing[axis]
+    return out
+
+
+def roll_face_avg(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    out = np.roll(f, -1, axis=axis)
+    out += f
+    out *= 0.5
+    return out
+
+
+def roll_cell_diff(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    out = np.roll(g, 1, axis=axis)
+    np.subtract(g, out, out=out)
+    out /= grid.spacing[axis]
+    return out
+
+
+def roll_cell_avg(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    out = np.roll(g, 1, axis=axis)
+    out += g
+    out *= 0.5
+    return out
+
+
+def roll_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    two_f = 2.0 * f
+    out = None
+    for a in range(grid.ndim):
+        term = np.roll(f, -1, axis=a)
+        term -= two_f
+        term += np.roll(f, 1, axis=a)
+        term /= grid.spacing[a] ** 2
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
 def dense_solve_neg_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Mean-zero solution of -lap psi = f via pseudo-inverse of the dense matrix."""
     L = dense_laplacian(grid)

@@ -14,7 +14,14 @@ from fchsim.grid import (
     norm,
 )
 
-from oracles import dense_laplacian
+from oracles import (
+    dense_laplacian,
+    roll_cell_avg,
+    roll_cell_diff,
+    roll_face_avg,
+    roll_face_diff,
+    roll_laplacian,
+)
 
 G4 = Grid.line(4, 1.0)
 F4 = np.array([1.0, 0.0, -1.0, 0.0])
@@ -26,6 +33,13 @@ class TestGridConstruction:
         assert g.spacing == (0.25, 0.25)
         assert g.cell_volume == pytest.approx(0.0625)
         assert g.volume == pytest.approx(2.0)
+
+    def test_cached_values_leave_repr_and_equality(self):
+        # output.params_digest hashes repr(grid) into every snapshot header
+        g = Grid((8, 4), (2.0, 1.0))
+        assert g.spacing is g.spacing and g.cell_volume == 0.0625
+        assert repr(g) == "Grid(shape=(8, 4), lengths=(2.0, 1.0))"
+        assert g == Grid((8, 4), (2.0, 1.0)) and hash(g) == hash(Grid((8, 4), (2.0, 1.0)))
 
     def test_cell_centers(self):
         g = Grid.line(4, 1.0)
@@ -71,6 +85,62 @@ class TestStencils:
             f = rng.standard_normal(g.shape)
             composed = sum(cell_diff(face_diff(f, g, a), g, a) for a in range(g.ndim))
             assert np.allclose(composed, laplacian(f, g), rtol=0, atol=1e-12)
+
+
+ROLL_GRIDS = [
+    Grid.line(2),
+    Grid.line(7),
+    Grid.line(8, 3.0),
+    Grid.square(2),
+    Grid((2, 5), (1.0, 2.5)),
+    Grid((7, 3), (0.7, 1.3)),
+    Grid((16, 24), (1.0, 3.0)),
+]
+ROLL_IDS = ["x".join(map(str, g.shape)) for g in ROLL_GRIDS]
+FACE_CELL = [
+    (face_diff, roll_face_diff),
+    (face_avg, roll_face_avg),
+    (cell_diff, roll_cell_diff),
+    (cell_avg, roll_cell_avg),
+]
+
+
+class TestStencilsMatchRoll:
+    """The slice-based stencils against their np.roll forms, byte for byte."""
+
+    @staticmethod
+    def field(g):
+        f = np.random.default_rng(sum(g.shape)).standard_normal(g.shape)
+        f.flat[::3] = 0.0  # equal neighbours: differences of exactly zero
+        f.flat[1::5] = -0.0
+        return f
+
+    @pytest.mark.parametrize("g", ROLL_GRIDS, ids=ROLL_IDS)
+    @pytest.mark.parametrize("stencil,reference", FACE_CELL, ids=lambda x: x.__name__)
+    def test_face_cell_ops(self, g, stencil, reference):
+        f = self.field(g)
+        for a in range(g.ndim):
+            assert stencil(f, g, a).tobytes() == reference(f, g, a).tobytes()
+
+    @pytest.mark.parametrize("g", ROLL_GRIDS, ids=ROLL_IDS)
+    def test_laplacian(self, g):
+        f = self.field(g)
+        assert laplacian(f, g).tobytes() == roll_laplacian(f, g).tobytes()
+
+    @pytest.mark.parametrize("g", ROLL_GRIDS, ids=ROLL_IDS)
+    def test_face_avg_into_out(self, g):
+        f = self.field(g)
+        out = np.full(g.shape, np.nan)
+        for a in range(g.ndim):
+            assert face_avg(f, g, a, out=out) is out
+            assert out.tobytes() == roll_face_avg(f, g, a).tobytes()
+
+    def test_face_avg_rejects_bad_out(self):
+        g = Grid((6, 4), (1.0, 1.0))
+        f = self.field(g)
+        for out in (np.empty((4, 6)), np.empty((4, 6)).T, np.empty(24)):
+            with pytest.raises(ValueError):
+                face_avg(f, g, 0, out=out)
 
 
 class TestLaplacian:

@@ -92,6 +92,41 @@ class TestBetaFamily:
         assert np.all(slope > 0.0)
 
 
+class TestInPlaceEvaluation:
+    """The buffered evaluations against the plain expressions, byte for byte."""
+
+    PP = PhysParams(eps=0.03, eta=4.0, lam=math.log(19.0) / 0.9)
+    R = np.concatenate(
+        [np.random.default_rng(4).uniform(-1.0, 1.0, 997), [0.0, -0.0, 0.999999, -0.999999]]
+    ).reshape(7, 143)
+
+    def test_beta_family_arrays(self):
+        r = self.R
+        assert beta(r).tobytes() == (np.log1p(r) - np.log1p(-r)).tobytes()
+        assert beta_prime(r).tobytes() == (2.0 / (1.0 - np.square(r))).tobytes()
+        assert beta_second(r).tobytes() == (4.0 * r / np.square(1.0 - np.square(r))).tobytes()
+
+    def test_mixing_family_arrays(self):
+        r, lam = self.R, self.PP.lam
+        B = (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r)
+        expected = (B, B - 0.5 * lam * np.square(r), np.log1p(r) - np.log1p(-r) - lam * r)
+        got = mixing_family(r, self.PP)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("r", [0.25, -0.9, np.float64(0.5), np.array(-0.3), 0])
+    def test_scalar_input_gives_float64(self, r):
+        values = [beta(r), beta_prime(r), beta_second(r), *mixing_family(r, self.PP)]
+        for v in values:
+            assert type(v) is np.float64
+        x = float(r)
+        plain = [
+            np.log1p(x) - np.log1p(-x),
+            2.0 / (1.0 - np.square(x)),
+            4.0 * x / np.square(1.0 - np.square(x)),
+        ]
+        assert values[:3] == plain
+
+
 class TestMixingFamily:
     PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 
