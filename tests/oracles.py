@@ -349,3 +349,76 @@ def manufactured_forcing_reference(grid: Grid, t: float, pp, refine_factor: int 
     s_fine = dphi_dt - _fourier_laplacian(mu, grid.lengths)
     s = _restrict_spectrum(s_fine, grid.shape)
     return s - np.mean(s)
+
+
+# The manufactured forcing as it was evaluated on the whole refined lattice,
+# in three lattice buffers, with one 2D transform of mu: the reference that
+# the blocked ``fchsim.scenarios.manufactured_forcing`` must match bit for bit.
+
+
+def _whole_lattice_band_laplacian(
+    values: np.ndarray, shape: tuple[int, int], lengths: tuple[float, float]
+) -> np.ndarray:
+    m0, m1 = values.shape
+    n0, n1 = shape
+    half0, half1 = n0 // 2, n1 // 2
+    fhat = np.fft.rfftn(values)
+    out = np.zeros((n0, half1 + 1), dtype=complex)
+    out[:half0, :half1] = fhat[:half0, :half1]
+    out[-(half0 - 1):, :half1] = fhat[-(half0 - 1):, :half1]
+    k0 = 2.0 * np.pi * np.fft.fftfreq(n0, d=1.0 / n0) / lengths[0]
+    k1 = 2.0 * np.pi * np.arange(half1 + 1) / lengths[1]
+    out *= -(k0[:, None] ** 2 + k1**2) * ((n0 * n1) / (m0 * m1))
+    return np.fft.irfftn(out, s=shape, axes=(0, 1))
+
+
+def whole_lattice_forcing(grid: Grid, t: float, pp, refine_factor: int = 4) -> np.ndarray:
+    R = int(refine_factor)
+    x, y = (
+        (np.arange(R * n) / (R * n) + 0.5 / n) * L for n, L in zip(grid.shape, grid.lengths)
+    )
+    sin_x = np.sin(2 * np.pi * x)[:, None]
+    cos_x = np.cos(2 * np.pi * x)[:, None]
+    sin_y = np.sin(2 * np.pi * y)
+    cos_y = np.cos(2 * np.pi * y)
+
+    cos_t = np.cos(t)
+    phi = np.multiply(sin_x, cos_y)
+    phi *= cos_t / np.pi
+    grad_sq = np.multiply(2.0 * cos_x, cos_y)
+    grad_sq *= cos_t
+    grad_sq *= grad_sq
+    work = np.multiply(-2.0 * sin_x, sin_y)
+    work *= cos_t
+    work *= work
+    grad_sq += work
+
+    b = beta(phi)
+    b1 = beta_prime(phi)
+    b2 = beta_second(phi)
+    lap_coef = -8.0 * np.pi**2
+    bilap_coef = 64.0 * np.pi**4
+    mu = np.multiply(bilap_coef, phi)
+    mu *= pp.eps**4
+    mu += np.multiply(b, b1, out=work)
+    np.multiply(pp.eps**2, b2, out=work)
+    work *= grad_sq
+    mu += work
+    np.multiply(lap_coef, phi, out=work)
+    work *= b1
+    grad_sq *= b2
+    work += grad_sq
+    work *= 2.0 * pp.eps**2
+    mu -= work
+    np.multiply(pp.lam, phi, out=work)
+    work *= b1
+    mu -= work
+    np.multiply(lap_coef, phi, out=work)
+    work *= pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta)
+    mu += work
+    b *= pp.lam + pp.eps_p_eta
+    mu -= b
+    mu += np.multiply(pp.lam * (pp.lam + pp.eps_p_eta), phi, out=work)
+    dphi_dt = -(sin_x[::R] * cos_y[::R]) * (np.sin(t) / np.pi)
+    s = dphi_dt - _whole_lattice_band_laplacian(mu, grid.shape, grid.lengths)
+    return s - np.mean(s)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fchsim import scenarios
 from fchsim.energy import energy_total
 from fchsim.grid import Grid, SpectralWorkspace, norm
 from fchsim.potential import PhysParams, mixing_family
@@ -18,7 +20,7 @@ from fchsim.scenarios import (
 )
 from fchsim.solver import SolverConfig, psd_solve
 
-from oracles import manufactured_forcing_reference
+from oracles import manufactured_forcing_reference, whole_lattice_forcing
 
 PP_CONV = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 
@@ -170,8 +172,9 @@ class TestManufacturedForcing:
             (Grid.square(16), 2, "refine_factor"),
             (Grid.square(2), 4, "at least 4 cells"),
             (Grid.square(3), 4, "at least 4 cells"),
+            (Grid.square(16), 4.5, "refine_factor must be an integer, got 4.5"),
         ],
-        ids=["refine2", "n2", "n3"],
+        ids=["refine2", "n2", "n3", "refine4.5"],
     )
     def test_rejects_low_refinement(self, grid, refine, message):
         with pytest.raises(ValueError, match=message):
@@ -187,6 +190,36 @@ class TestManufacturedForcing:
             S = manufactured_forcing(g, t, PP_CONV, refine)
             S_ref = manufactured_forcing_reference(g, t, PP_CONV, refine)
             assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 7), (15, 15), (16, 24), (33, 17)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    @pytest.mark.parametrize("refine", [4, np.int64(5), 8], ids=["R4", "R5-int64", "R8"])
+    @pytest.mark.parametrize("block_points", [None, 300], ids=["block-default", "block300"])
+    def test_blocks_match_whole_lattice_bit_for_bit(self, shape, refine, block_points, monkeypatch):
+        # row blocks that do not divide the lattice (300 points give blocks
+        # of 1 to 10 rows here), odd and unequal sizes; eps = 0.3 makes
+        # powers of eps inexact, so folded constants show
+        if block_points is not None:
+            monkeypatch.setattr(scenarios, "_BLOCK_POINTS", block_points)
+        g = Grid(shape, (1.0, 1.0))
+        for pp in (PP_CONV, PhysParams(eps=0.3, eta=2.0, lam=2.5, p=1)):
+            for t in (0.0, 0.37, 1.1, math.pi / 2):
+                S = manufactured_forcing(g, t, pp, refine)
+                assert S.tobytes() == whole_lattice_forcing(g, t, pp, refine).tobytes()
+
+    def test_peak_memory_is_a_few_coarse_fields(self):
+        # the 512^2 lattice at n = 128 is never held whole: one lattice
+        # field alone would be 16 coarse fields
+        g = Grid.square(128)
+        manufactured_forcing(g, 0.37, PP_CONV, 4)
+        tracemalloc.start()
+        try:
+            manufactured_forcing(g, 0.37, PP_CONV, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * g.num_cells * 8
 
     def test_one_step_error_ratio(self):
         # one forced step from the sampled exact state: halving h with
