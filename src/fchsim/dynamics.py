@@ -96,6 +96,9 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0 < self.dt_min <= self.dt_max:
             raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
+        if not self.rate_hi > 0:
+            # every attempt above dt_min would be rejected
+            raise ValueError(f"rate_hi must be positive, got {self.rate_hi}")
         if not self.rate_lo < self.rate_hi:
             raise ValueError(f"need rate_lo < rate_hi, got {self.rate_lo}, {self.rate_hi}")
         if self.dt_init is not None and not self.dt_init > 0:

@@ -48,7 +48,6 @@ from .grid import (
     cell_diff,
     face_avg,
     face_diff,
-    grad_norm_sq,
     inner,
     laplacian,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "EnergyBreakdown",
     "LinearTerms",
     "linear_terms",
-    "avg_grad_sq",
     "energy_total",
     "var_convex",
     "var_concave",
@@ -119,11 +117,6 @@ def _avg_sq(faces: list[np.ndarray], grid: Grid) -> np.ndarray:
     return out
 
 
-def avg_grad_sq(phi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell field sum_axis a_axis(|D_axis phi|^2)."""
-    return _avg_sq([face_diff(phi, grid, a) for a in range(grid.ndim)], grid)
-
-
 def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown:
     """Full energy with its split and the CH / Willmore diagnostics."""
     require_admissible(phi, "energy argument")
@@ -131,24 +124,25 @@ def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown
     b = beta(phi)
     b1 = beta_prime(phi)
     lap = laplacian(phi, grid)
-    gsq = grad_norm_sq(phi, grid)
-    one = np.ones_like(phi)
+    dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
+    vol = grid.cell_volume
+    gsq = vol * sum(float(np.sum(da * da)) for da in dphi)
 
     quad = 0.5 * (pp.lam**2 + pp.lam * pp.eps_p_eta)
     e_c = (
         0.5 * pp.eps**4 * inner(lap, lap, grid)
         + 0.5 * inner(b, b, grid)
         + quad * inner(phi, phi, grid)
-        + pp.eps**2 * inner(b1, avg_grad_sq(phi, grid), grid)
+        + pp.eps**2 * inner(b1, _avg_sq(dphi, grid), grid)
     )
     grad_coeff = 0.5 * pp.eps**2 * pp.eps_p_eta + pp.lam * pp.eps**2
     e_e = (
         grad_coeff * gsq
         + pp.lam * inner(phi, b, grid)
-        + pp.eps_p_eta * inner(B, one, grid)
+        + pp.eps_p_eta * (vol * float(np.sum(B)))
     )
     total = e_c - e_e
-    e_ch = 0.5 * pp.eps**2 * gsq + inner(F, one, grid)
+    e_ch = 0.5 * pp.eps**2 * gsq + vol * float(np.sum(F))
     return EnergyBreakdown(
         total=total,
         convex=e_c,

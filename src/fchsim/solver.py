@@ -38,9 +38,11 @@ iterations re-center.
 The iteration carries one iterate state: phi and its LinearTerms (lap^2 phi,
 the face differences D phi per axis and gsq = sum_axis avg(|D phi|^2), see
 ``fchsim.energy``).  They are built from phi once, at the first iterate.
-The line objective reads its phi side from them and computes only the d
-side (lap d, lap^2 d, D d and the gsq coefficients B and C); after the line
-search the state moves in place by the step taken,
+Each iteration, ``psd_solve`` builds a ``LineObjective`` on them: it reads
+its phi side from the terms and computes only the d side (lap d, lap^2 d,
+D d and the gsq coefficients B and C).  ``line_minimize`` finds alpha on
+that objective and moves nothing; ``psd_solve`` then moves the state in
+place by the step taken with ``LineObjective.advance``,
 
     lap^2 phi += alpha lap^2 d,   D phi += alpha D d,
     gsq += alpha (2 B + alpha C),
@@ -110,8 +112,10 @@ class SolverConfig:
     ls_margin: float = 1e-4
 
     def __post_init__(self):
-        if self.tol_res <= 0:
+        if not self.tol_res > 0:
             raise ValueError(f"tol_res must be positive, got {self.tol_res}")
+        if not self.ls_tol > 0:
+            raise ValueError(f"ls_tol must be positive, got {self.ls_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.ls_max < 1:
@@ -335,57 +339,33 @@ class LineObjective:
 
 
 def line_minimize(
-    phi: np.ndarray,
-    d: np.ndarray,
-    f_rhs: np.ndarray,
-    dt: float,
-    grid: Grid,
-    pp: PhysParams,
+    g: LineObjective,
     cfg: SolverConfig,
     g0: float | None = None,
     hint: float | None = None,
-    exhausted: list[float] | None = None,
-    terms: LinearTerms | None = None,
-) -> tuple[float, int]:
-    """Root of g(alpha) inside the admissible interval.
+) -> tuple[float, bool]:
+    """Root of the built objective g inside the admissible interval.
 
-    Returns (alpha, evaluations).  When the root lies beyond the admissibility
-    cap, the cap itself is returned; g is still negative there, so the step
+    Returns (alpha, exhausted) and leaves g unmoved; the evaluations spent
+    are in ``g.evals``.  When the root lies beyond the admissibility cap,
+    the cap itself is returned; g is still negative there, so the step
     decreases the descent objective.  ``g0`` may carry a precomputed g(0)
     (the descent iteration knows it as -<residual, d>); ``hint`` seeds the
-    bracket with the previous accepted step length.  When the evaluation
-    budget runs out inside a valid bracket, the best point seen is returned
-    and, if ``exhausted`` is given, its |g| relative to |g(0)| is appended.
-    ``terms`` may carry the LinearTerms of phi: the objective reads its phi
-    side from them, and on return they have been moved in place to
-    phi + alpha d.
+    bracket with the previous accepted step length.  ``exhausted`` is True
+    only when the evaluation budget ran out inside a valid bracket; alpha is
+    then the point with the least |g| seen since the root was bracketed, not
+    a root within ``ls_tol``.
     """
-    require_admissible(phi, "line search base point")
-    if not np.any(d):
-        return 0.0, 0
-
-    g = LineObjective(phi, d, f_rhs, dt, grid, pp, terms)
-    alpha = _root(g, admissible_step_cap(phi, d, cfg.ls_margin), cfg, g0, hint, exhausted)
-    if terms is not None and alpha != 0.0:
-        g.advance(alpha)
-    return alpha, g.evals
-
-
-def _root(
-    g: LineObjective,
-    cap: float,
-    cfg: SolverConfig,
-    g0: float | None,
-    hint: float | None,
-    exhausted: list[float] | None,
-) -> float:
-    """The line search of ``line_minimize`` on a built objective."""
+    require_admissible(g.phi, "line search base point")
+    if not np.any(g.d):
+        return 0.0, False
+    cap = admissible_step_cap(g.phi, g.d, cfg.ls_margin)
     if g0 is None:
         g0 = g(0.0)
     scale = abs(g0)
     if scale == 0.0 or g0 > 0.0:
         # No descent left along d at this scale; converged step.
-        return 0.0
+        return 0.0, False
     tol = cfg.ls_tol * scale
 
     lo, g_lo = 0.0, g0
@@ -402,14 +382,14 @@ def _root(
         if g_hi >= 0.0:
             break
         if at_cap:
-            return hi
+            return hi, False
         lo, g_lo = hi, g_hi
         hi *= 2.0
         if hi >= cap:
             hi = cap
             at_cap = True
     if abs(g_hi) <= tol:
-        return hi
+        return hi, False
 
     # Secant with bisection safeguarding on the bracket [lo, hi].  Near
     # convergence g sits at the floating-point noise floor and |g| <= tol may
@@ -421,7 +401,7 @@ def _root(
     while g.evals < cfg.ls_max:
         width = hi - lo
         if width <= 1e-14 * max(1.0, hi):
-            return best_alpha
+            return best_alpha, False
         denom = g_hi - g_lo
         alpha = hi - g_hi * width / denom if denom != 0 and not force_bisect else 0.5 * (lo + hi)
         if not (lo < alpha < hi):
@@ -430,7 +410,7 @@ def _root(
         if abs(val) < best_val:
             best_alpha, best_val = alpha, abs(val)
         if abs(val) <= tol:
-            return alpha
+            return alpha, False
         if val < 0.0:
             lo, g_lo = alpha, val
         else:
@@ -438,9 +418,7 @@ def _root(
         force_bisect = (hi - lo) > 0.5 * width
     # Budget exhausted with a valid bracket: the root is localized, take the
     # best point seen.
-    if exhausted is not None:
-        exhausted.append(best_val / scale)
-    return best_alpha
+    return best_alpha, True
 
 
 def psd_solve(
@@ -504,18 +482,16 @@ def psd_solve(
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
     terms = linear_terms(phi, grid)
-    fresh = True  # terms built from phi give the from-scratch residual
-    ls_evals_total = 0
-    restarts = 0
-    exhausted: list[float] = []
+    ls_evals = restarts = exhausted = 0
     alpha_prev: float | None = None
     d = r_prev = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
         r = f - nonlinear_map(phi, dt, grid, pp, terms)
         res = float(np.sqrt(vol * np.sum(r * r)))
-        if res <= tol and not fresh:
-            # The carried terms drift by round-off: only a residual from
+        if res <= tol and it > 0:
+            # Terms built from phi (it == 0) give the from-scratch residual;
+            # carried ones drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, start over from phi.
             r = f - nonlinear_map(phi, dt, grid, pp)
             res = float(np.sqrt(vol * np.sum(r * r)))
@@ -523,9 +499,7 @@ def psd_solve(
                 terms = linear_terms(phi, grid)
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
-            return phi, SolveReport(
-                it, res, ls_evals_total, margin, restarts, len(exhausted)
-            )
+            return phi, SolveReport(it, res, ls_evals, margin, restarts, exhausted)
         if it == cfg.max_iter:
             raise SolverDivergedError(
                 f"residual {res:.3e} > tolerance {tol:.3e} after {it} iterations",
@@ -544,19 +518,19 @@ def psd_solve(
             restarts += 1
             d = z
             g0 = -vol * zr
-        alpha, evals = line_minimize(
-            phi, d, f, dt, grid, pp, cfg,
-            g0=g0, hint=alpha_prev, exhausted=exhausted, terms=terms,
-        )
-        ls_evals_total += evals
+        g = LineObjective(phi, d, f, dt, grid, pp, terms)
+        alpha, short = line_minimize(g, cfg, g0=g0, hint=alpha_prev)
+        ls_evals += g.evals
+        exhausted += short
         if alpha == 0.0:
             raise SolverDivergedError(
                 f"stalled line search at residual {res:.3e} (tolerance {tol:.3e})",
                 residual=res,
                 iterations=it,
             )
+        g.advance(alpha)
+        del g  # its fields (14 in 2D) would stay resident through the next residual
         alpha_prev = alpha
         phi += alpha * d
-        fresh = False
         r_prev, zr_prev = r, zr
     raise AssertionError("unreachable")

@@ -481,6 +481,8 @@ class TestMainExitCodes:
             ["--set", "scenario=meandering", "--set", "grid.nx=32", "--set", "grid.lx=31"],
             ["--set", "adaptive.dt_init=0"],
             ["--set", "solver.ls_max=0"],
+            ["--set", "solver.ls_tol=-1"],
+            ["--set", "adaptive.rate_hi=0", "--set", "adaptive.rate_lo=-1"],
         ],
     )
     def test_bad_input_is_config_error_before_any_output(self, tmp_path, capsys, settings):

@@ -52,6 +52,7 @@ class TestAdaptiveConfig:
             dict(rate_lo=0.1, rate_hi=0.1),
             dict(dt_init=0.0),
             dict(dt_init=-1e-3),
+            dict(rate_hi=0.0, rate_lo=-1.0),
         ],
     )
     def test_validation(self, kwargs):

@@ -46,7 +46,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(tol_res=0.0), dict(max_iter=0), dict(ls_margin=0.0), dict(ls_margin=1.0), dict(theta1=-1.0),
-         dict(ls_max=0)],
+         dict(ls_max=0), dict(ls_tol=0.0), dict(ls_tol=-1.0), dict(ls_tol=float("nan")),
+         dict(tol_res=float("nan"))],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -114,8 +115,9 @@ class TestLineSearch:
     def test_zero_direction(self):
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 33)
         f = rhs_explicit(phi, dt, g, PP)
-        alpha, evals = line_minimize(phi, g.zeros(), f, dt, g, PP, CFG)
-        assert alpha == 0.0 and evals == 0
+        obj = LineObjective(phi, g.zeros(), f, dt, g, PP)
+        assert line_minimize(obj, CFG) == (0.0, False)
+        assert obj.evals == 0
 
     def test_solved_state_gives_zero(self):
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 34)
@@ -123,7 +125,7 @@ class TestLineSearch:
         f = rhs_explicit(phi, dt, g, PP)
         r = f - nonlinear_map(phi_new, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
-        alpha, _ = line_minimize(phi_new, d, f, dt, g, PP, CFG)
+        alpha, _ = line_minimize(LineObjective(phi_new, d, f, dt, g, PP), CFG)
         # at the solution the best step is numerically negligible
         assert abs(alpha) * np.max(np.abs(d)) <= 1e-10
 
@@ -148,7 +150,9 @@ class TestLineSearch:
             # the terms a solve carries: built at phi, then moved by one step
             terms = linear_terms(phi, g)
             d = precond_solve(f - nonlinear_map(phi, dt, g, PP), dt, PP, CFG, ws)
-            alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG, terms=terms)
+            obj = LineObjective(phi, d, f, dt, g, PP, terms)
+            alpha, _ = line_minimize(obj, CFG)
+            obj.advance(alpha)
             phi = phi + alpha * d
         r = f - nonlinear_map(phi, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
@@ -186,7 +190,7 @@ class TestLineSearch:
         f = rhs_explicit(phi, dt, g, PP)
         r = f - nonlinear_map(phi, dt, g, PP)
         d = precond_solve(r, dt, PP, CFG, ws)
-        alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG)
+        alpha, _ = line_minimize(LineObjective(phi, d, f, dt, g, PP), CFG)
 
         def g_naive(a):
             return inner(nonlinear_map(phi + a * d, dt, g, PP) - f, d, g)
@@ -246,6 +250,42 @@ class TestLineSearch:
             lo_a = batch[-1]
         assert found is not None
         assert abs(alpha - found) <= 1e-8 * max(1.0, found)
+
+    def test_capped_search_returns_the_cap(self):
+        # a spike toward +1 at phi's maximum puts the root past a wide margin's cap
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 30)
+        cfg = SolverConfig(ls_margin=0.9)
+        f = rhs_explicit(phi, dt, g, PP)
+        d = precond_solve(f - nonlinear_map(phi, dt, g, PP), dt, PP, cfg, ws)
+        d[np.unravel_index(np.argmax(phi), phi.shape)] += 3.0 * np.max(np.abs(d))
+        d -= d.mean()
+        cap = admissible_step_cap(phi, d, cfg.ls_margin)
+        alpha, exhausted = line_minimize(LineObjective(phi, d, f, dt, g, PP), cfg)
+        assert alpha == cap and not exhausted
+        assert LineObjective(phi, d, f, dt, g, PP)(cap) < 0.0  # the root lies past the cap
+
+    @pytest.mark.parametrize("ls_max", [2, 3, 4])
+    def test_exhausted_budget_returns_the_best_point(self, ls_max):
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 30)
+        f = rhs_explicit(phi, dt, g, PP)
+        r = f - nonlinear_map(phi, dt, g, PP)
+        d = precond_solve(r, dt, PP, CFG, ws)
+        seen = []
+
+        class Recording(LineObjective):
+            def __call__(self, alpha):
+                val = super().__call__(alpha)
+                seen.append((alpha, val))
+                return val
+
+        obj = Recording(phi, d, f, dt, g, PP)
+        g0 = -g.cell_volume * float(np.sum(r * d))
+        alpha, exhausted = line_minimize(obj, SolverConfig(ls_max=ls_max), g0=g0)
+        # the first trial, alpha = 1, brackets the root, so every point seen is a candidate
+        assert seen[0][0] == 1.0 and seen[0][1] >= 0.0
+        assert exhausted and len(seen) == obj.evals == ls_max
+        assert alpha == min(seen, key=lambda p: abs(p[1]))[0]
+        assert not line_minimize(LineObjective(phi, d, f, dt, g, PP), CFG, g0=g0)[1]
 
 
 class TestPsdSolve:
@@ -374,7 +414,7 @@ class TestPsdSolve:
             if norm(r, g, "l2") <= CFG.tol_res * max(1.0, norm(f, g, "l2")):
                 break
             d = precond_solve(r, dt, PP, CFG, ws)
-            alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG)
+            alpha, _ = line_minimize(LineObjective(phi, d, f, dt, g, PP), CFG)
             phi = phi + alpha * d
             values.append(J(phi))
         assert len(values) > 2
@@ -393,7 +433,7 @@ class TestPsdSolve:
             if norm(r, g, "l2") <= tol:
                 break
             d = precond_solve(r, dt, PP, CFG, ws)
-            alpha, _ = line_minimize(phi, d, f, dt, g, PP, CFG)
+            alpha, _ = line_minimize(LineObjective(phi, d, f, dt, g, PP), CFG)
             phi = phi + alpha * d
             sd_iters += 1
             assert sd_iters < CFG.max_iter
@@ -481,3 +521,46 @@ class TestPsdSolve:
         res = norm(nonlinear_map(phi1, 0.02, g, PP) - f, g, "l2")
         assert res <= CFG.tol_res * max(1.0, norm(f, g, "l2")) * (1 + 1e-12)
         assert abs(phi1.mean() - phi.mean()) <= 1e-13
+
+
+class TestTracedCallContract:
+    """What the benchmark's tracer relies on: it resets its step cap on entry
+    to line_minimize, reads the cap returned inside it and compares it with
+    element [0] of line_minimize's result."""
+
+    def test_step_cap_is_taken_inside_line_minimize(self, monkeypatch):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 45)
+        events = []
+        depth = 0
+        real_search = fchsim.solver.line_minimize
+        real_cap = fchsim.solver.admissible_step_cap
+        real_advance = LineObjective.advance
+
+        def search(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                result = real_search(*args, **kwargs)
+            finally:
+                depth -= 1
+            events.append(("line_minimize", result))
+            return result
+
+        def cap(*args):
+            events.append(("cap", depth))
+            return real_cap(*args)
+
+        def advance(self, alpha):
+            events.append(("advance", alpha))
+            real_advance(self, alpha)
+
+        monkeypatch.setattr(fchsim.solver, "line_minimize", search)
+        monkeypatch.setattr(fchsim.solver, "admissible_step_cap", cap)
+        monkeypatch.setattr(LineObjective, "advance", advance)
+        _, report = psd_solve(phi, dt, g, PP, CFG, ws)
+        assert report.iterations >= 2
+        assert [kind for kind, _ in events] == ["cap", "line_minimize", "advance"] * report.iterations
+        for (_, cap_depth), (_, result), (_, alpha) in zip(*[iter(events)] * 3):
+            assert cap_depth == 1
+            assert isinstance(result, tuple) and isinstance(result[0], float)
+            assert result[0] == alpha
