@@ -148,6 +148,11 @@ def step(
     ``prev_total`` avoids recomputing the current energy when the caller
     already has it; ``mass_ref`` is the conserved mean (defaults to the
     current one); ``phi_init`` seeds the solver iteration.
+
+    The new state's energy and the chemical potential mu =
+    var_convex(phi_new) - var_concave(phi) are built from what the solve
+    kept (see ``SolveReport``): its beta family, stencils and both
+    variational derivatives are not computed again.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
@@ -169,8 +174,9 @@ def step(
             "mass drift", abs(mass_after - mass_before), mass_bound, index
         )
 
-    eb = energy_total(phi_new, grid, pp)
-    mu = chemical_potential(phi_new, phi, grid, pp)
+    kept = report.kept
+    eb = energy_total(phi_new, grid, pp, kept.terms)
+    mu = chemical_potential(phi_new, phi, grid, pp, kept.convex, kept.concave)
     grad_mu = float(np.sqrt(grad_norm_sq(mu, grid)))
     if source is None:
         slack = ENERGY_SLACK_FACTOR * cfg.tol_res * max(1.0, abs(prev_total))

@@ -34,6 +34,20 @@ along each step phi + alpha d (the first two are linear in phi, gsq is
 quadratic), so its residual at later iterates costs the pointwise beta
 terms, the divergence term and one Laplacian.  Terms built from phi itself
 give exactly the from-scratch result.
+
+Each piece of a state is computed once, and who computes it hands it on:
+
+* ``linear_terms`` keeps lap phi, the intermediate of lap^2 phi.
+* var_convex takes beta(phi) and beta'(phi) from the terms when they are
+  there (the solver's line evaluation leaves them for the iterate it moves
+  to), and records on the terms the ones it computes itself.
+* ``rhs_explicit`` and ``nonlinear_map`` take an optional ``keep`` that
+  receives var_concave(phi_old), and the terms and var_convex(phi) of the
+  state they evaluate.  The solver passes it to the evaluations of phi_n
+  and of the returned state, and the step's diagnostics read it:
+  ``energy_total`` takes its beta family and stencils from those terms,
+  and ``chemical_potential`` subtracts the kept var_concave(phi_old) from
+  the kept var_convex(phi_new) in place.
 """
 
 from __future__ import annotations
@@ -96,17 +110,41 @@ class LinearTerms:
     per axis and ``gsq`` is the cell field sum_axis avg(|D_axis phi|^2).  The
     first two are linear in phi and ``gsq`` is quadratic, so the solver can
     move all three along a step phi + alpha d without rebuilding them.
+
+    The other fields are pieces of phi that are known when they are not
+    None: ``lap`` is lap phi, kept by ``linear_terms``; ``beta`` and
+    ``beta_prime`` are beta(phi) and beta'(phi), which var_convex takes
+    from here and records here.  Whoever moves the terms to another state
+    must set or drop them.
     """
 
     bilap: np.ndarray
     dphi: list[np.ndarray]
     gsq: np.ndarray
+    lap: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    beta_prime: np.ndarray | None = None
+
+
+@dataclass
+class _Kept:
+    """What the evaluations of one step keep for its diagnostics.
+
+    ``concave`` is var_concave(phi_old), from ``rhs_explicit``; ``terms``
+    and ``convex`` are the LinearTerms (with lap, beta and beta_prime) and
+    var_convex of the state ``nonlinear_map`` last evaluated.
+    """
+
+    concave: np.ndarray | None = None
+    terms: LinearTerms | None = None
+    convex: np.ndarray | None = None
 
 
 def linear_terms(phi: np.ndarray, grid: Grid) -> LinearTerms:
-    """Build the LinearTerms of phi from its stencils."""
+    """Build the LinearTerms of phi from its stencils, keeping lap phi."""
     dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-    return LinearTerms(laplacian(laplacian(phi, grid), grid), dphi, _avg_sq(dphi, grid))
+    lap = laplacian(phi, grid)
+    return LinearTerms(laplacian(lap, grid), dphi, _avg_sq(dphi, grid), lap)
 
 
 def _avg_sq(faces: list[np.ndarray], grid: Grid) -> np.ndarray:
@@ -117,14 +155,25 @@ def _avg_sq(faces: list[np.ndarray], grid: Grid) -> np.ndarray:
     return out
 
 
-def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown:
-    """Full energy with its split and the CH / Willmore diagnostics."""
+def energy_total(
+    phi: np.ndarray, grid: Grid, pp: PhysParams, terms: LinearTerms | None = None
+) -> EnergyBreakdown:
+    """Full energy with its split and the CH / Willmore diagnostics.
+
+    ``terms`` may carry the LinearTerms of phi with ``lap``, ``beta`` and
+    ``beta_prime`` set, as an evaluation of phi from scratch leaves them;
+    the beta family, lap phi, D phi and avg(|D phi|^2) are then taken from
+    them instead of being computed again.
+    """
     require_admissible(phi, "energy argument")
     B, F, _ = mixing_family(phi, pp)
-    b = beta(phi)
-    b1 = beta_prime(phi)
-    lap = laplacian(phi, grid)
-    dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
+    if terms is None:
+        dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
+        b, b1 = beta(phi), beta_prime(phi)
+        lap, avg_sq = laplacian(phi, grid), _avg_sq(dphi, grid)
+    else:
+        dphi, b, b1 = terms.dphi, terms.beta, terms.beta_prime
+        lap, avg_sq = terms.lap, terms.gsq
     vol = grid.cell_volume
     gsq = vol * sum(float(np.sum(da * da)) for da in dphi)
 
@@ -133,7 +182,7 @@ def energy_total(phi: np.ndarray, grid: Grid, pp: PhysParams) -> EnergyBreakdown
         0.5 * pp.eps**4 * inner(lap, lap, grid)
         + 0.5 * inner(b, b, grid)
         + quad * inner(phi, phi, grid)
-        + pp.eps**2 * inner(b1, _avg_sq(dphi, grid), grid)
+        + pp.eps**2 * inner(b1, avg_sq, grid)
     )
     grad_coeff = 0.5 * pp.eps**2 * pp.eps_p_eta + pp.lam * pp.eps**2
     e_e = (
@@ -158,19 +207,21 @@ def var_convex(
     """Variational derivative of the convex energy part.
 
     ``terms`` may carry the LinearTerms of phi; they are built from phi when
-    not given.
+    not given.  beta(phi) and beta'(phi) are taken from the terms when they
+    are there; otherwise they are computed and recorded on the terms.
     """
     require_admissible(phi, "variational derivative argument")
     if terms is None:
         terms = linear_terms(phi, grid)
-    b1 = beta_prime(phi)
+    if terms.beta is None:
+        terms.beta, terms.beta_prime = beta(phi), beta_prime(phi)
+    b, b1 = terms.beta, terms.beta_prime
     out = pp.eps**4 * terms.bilap
-    b = beta(phi)
-    out += np.multiply(b, b1, out=b)
+    flux = np.empty(phi.shape)
+    out += np.multiply(b, b1, out=flux)
     out += pp.lam * (pp.lam + pp.eps_p_eta) * phi
     mixed = beta_second(phi)
     mixed *= terms.gsq
-    flux = np.empty(phi.shape)
     for a in range(grid.ndim):
         face_avg(b1, grid, a, out=flux)
         flux *= terms.dphi[a]
@@ -198,30 +249,60 @@ def nonlinear_map(
     grid: Grid,
     pp: PhysParams,
     terms: LinearTerms | None = None,
+    *,
+    keep: _Kept | None = None,
 ) -> np.ndarray:
     """Implicit side of one step: N(phi) = phi/dt - lap var_convex(phi).
 
-    ``terms`` is passed on to var_convex.
+    ``terms`` is passed on to var_convex, which builds them from phi when
+    not given.  ``keep``, when given, receives those terms and
+    var_convex(phi).
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    return phi / dt - laplacian(var_convex(phi, grid, pp, terms), grid)
+    if terms is None:
+        terms = linear_terms(phi, grid)
+    convex = var_convex(phi, grid, pp, terms)
+    if keep is not None:
+        keep.terms, keep.convex = terms, convex
+    return phi / dt - laplacian(convex, grid)
 
 
-def rhs_explicit(phi_old: np.ndarray, dt: float, grid: Grid, pp: PhysParams) -> np.ndarray:
+def rhs_explicit(
+    phi_old: np.ndarray, dt: float, grid: Grid, pp: PhysParams, *, keep: _Kept | None = None
+) -> np.ndarray:
     """Explicit side of one step: f = phi_old/dt - lap var_concave(phi_old).
 
     Defined so that solving N(phi_new) = f reproduces the semi-implicit
     scheme with mu = var_convex(phi_new) - var_concave(phi_old); the mean of
     f equals mean(phi_old)/dt since the Laplacian term is mean-free.
+    ``keep``, when given, receives var_concave(phi_old).
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    return phi_old / dt - laplacian(var_concave(phi_old, grid, pp), grid)
+    concave = var_concave(phi_old, grid, pp)
+    if keep is not None:
+        keep.concave = concave
+    return phi_old / dt - laplacian(concave, grid)
 
 
 def chemical_potential(
-    phi_new: np.ndarray, phi_old: np.ndarray, grid: Grid, pp: PhysParams
+    phi_new: np.ndarray,
+    phi_old: np.ndarray,
+    grid: Grid,
+    pp: PhysParams,
+    convex: np.ndarray | None = None,
+    concave: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Chemical potential of the semi-implicit step joining the two states."""
-    return var_convex(phi_new, grid, pp) - var_concave(phi_old, grid, pp)
+    """Chemical potential of the semi-implicit step joining the two states.
+
+    ``convex`` and ``concave`` may carry var_convex(phi_new) and
+    var_concave(phi_old), as the step's solve keeps them; the result is
+    then taken in place in ``convex``.
+    """
+    if convex is None:
+        convex = var_convex(phi_new, grid, pp)
+    if concave is None:
+        concave = var_concave(phi_old, grid, pp)
+    convex -= concave
+    return convex

@@ -20,6 +20,7 @@ Mixing energy density and friends, with well depth lambda:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,10 @@ class PhysParams:
     p: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0 or self.eta <= 0 or self.lam <= 0:
-            raise ValueError(
-                f"eps, eta, lam must be positive, got {self.eps}, {self.eta}, {self.lam}"
-            )
+        for name in ("eps", "eta", "lam"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.p not in (1, 2):
             raise ValueError(f"functionalization exponent p must be 1 or 2, got {self.p}")
 

@@ -47,22 +47,33 @@ place by the step taken with ``LineObjective.advance``,
     lap^2 phi += alpha lap^2 d,   D phi += alpha D d,
     gsq += alpha (2 B + alpha C),
 
-and the residual at the next iterate uses the moved terms.  The moved terms
-drift from a rebuild by round-off, so only a residual from scratch may end a
-solve: when the carried residual meets the tolerance, N(phi) is recomputed
-without the state, and only that residual can stop the iteration and be
-reported.  If it misses, the state is rebuilt from phi and the iteration
-goes on.
+and the residual at the next iterate uses the moved terms.  The line
+evaluation computes beta and beta' at the point it evaluates, with the
+same operations as ``potential.beta`` and ``beta_prime``; when the step
+taken is the last point evaluated (nearly always), ``advance`` hands them
+to the terms, and the next residual takes them instead of computing them.
+The moved terms drift from a rebuild by round-off, so only a residual from
+scratch may end a solve: when the carried residual meets the tolerance,
+N(phi) is recomputed without the state, and only that residual can stop the
+iteration and be reported.  If it misses, the iteration goes on from the
+terms that residual built.
+
+The solve keeps what the step's diagnostics need (``SolveReport.kept``):
+var_concave(phi_n) from ``rhs_explicit``, and the LinearTerms (with lap phi,
+beta and beta') and var_convex of the returned state from the residual
+that ended the solve, which is the first one when the solve ends there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .grid import Grid, SpectralWorkspace, cell_avg, face_avg, face_diff, laplacian
-from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit
+from .energy import LinearTerms, _Kept, linear_terms, nonlinear_map, rhs_explicit
 from .potential import PhysParams, PotentialDomainError, require_admissible
 
 __all__ = [
@@ -116,14 +127,16 @@ class SolverConfig:
             raise ValueError(f"tol_res must be positive, got {self.tol_res}")
         if not self.ls_tol > 0:
             raise ValueError(f"ls_tol must be positive, got {self.ls_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.ls_max < 1:
-            raise ValueError(f"ls_max must be at least 1, got {self.ls_max}")
+        for name in ("max_iter", "ls_max"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 < self.ls_margin < 1.0:
             raise ValueError(f"ls_margin must lie in (0, 1), got {self.ls_margin}")
-        if self.theta1 < 0 or self.theta2 < 0:
-            raise ValueError("theta1 and theta2 must be nonnegative")
+        for name in ("theta1", "theta2"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,10 @@ class SolveReport:
     direction z_k (the first one included); ``ls_exhausted`` counts the line
     searches that ran out of their evaluation budget inside a valid bracket
     and took the best point seen instead of a root within ``ls_tol``.
+    ``kept`` holds what the solve computed that the step's diagnostics
+    reuse: var_concave(phi_n), and the LinearTerms (with lap, beta and
+    beta_prime) and var_convex of the returned state, from the residual
+    that ended the solve.
     """
 
     iterations: int
@@ -142,6 +159,7 @@ class SolveReport:
     margin: float
     restarts: int
     ls_exhausted: int
+    kept: _Kept | None = field(default=None, repr=False, compare=False)
 
 
 def precond_symbol(
@@ -211,7 +229,8 @@ class LineObjective:
     divergence-form terms are moved onto faces by summation-by-parts.  The
     phi side comes from ``terms``, the LinearTerms of phi (built from phi
     when not given); only the d side is computed here.  Evaluations work in
-    place in four scratch fields allocated with the objective.
+    place in six scratch fields allocated with the objective; two of them
+    keep beta and beta' of the point last evaluated, for ``advance``.
     """
 
     def __init__(
@@ -231,7 +250,8 @@ class LineObjective:
         self.grid = grid
         self.pp = pp
         self.terms = terms
-        self._work = [np.empty(phi.shape) for _ in range(4)]
+        self._work = [np.empty(phi.shape) for _ in range(6)]
+        self._at = None
         work = self._work[0]
 
         def dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -277,7 +297,8 @@ class LineObjective:
     def __call__(self, alpha: float) -> float:
         pp = self.pp
         self.evals += 1
-        phi_a, one_minus, num, work = self._work
+        self._at = None
+        phi_a, one_minus, num, work, b, b1 = self._work
         np.multiply(self.d, alpha, out=phi_a)
         phi_a += self.phi
         np.multiply(phi_a, phi_a, out=one_minus)
@@ -289,9 +310,9 @@ class LineObjective:
         # Pointwise var_convex terms against lap(d):
         # b b1 + eps^2 b2 gsq = (2 b one_minus + 4 eps^2 phi gsq) / one_minus^2,
         # with b = log1p(phi_a) - log1p(-phi_a) and gsq = A + alpha (2 B + alpha C).
-        np.log1p(phi_a, out=num)
-        num -= np.log1p(np.negative(phi_a, out=work), out=work)
-        num *= 2.0
+        np.log1p(phi_a, out=b)
+        b -= np.log1p(np.negative(phi_a, out=work), out=work)
+        np.multiply(b, 2.0, out=num)
         num *= one_minus
         gsq = np.multiply(self._gsq_c, alpha, out=work)
         gsq += self._gsq_2b
@@ -306,7 +327,7 @@ class LineObjective:
         # Divergence term moved onto faces: <lap d, d_a(avg(b1) Dphi_a)>
         # = -[D_a lap d, avg(b1) Dphi_a]; it enters var_convex with factor -2,
         # and var_convex enters g negated, giving -2 overall.  b1 = 2 / one_minus.
-        b1 = np.divide(2.0, one_minus, out=one_minus)
+        np.divide(2.0, one_minus, out=b1)
         face_sum = 0.0
         for a in range(self.grid.ndim):
             avg_b1 = face_avg(b1, self.grid, a, out=num)
@@ -314,6 +335,7 @@ class LineObjective:
             flux += self._face_p[a]
             avg_b1 *= flux
             face_sum += float(np.sum(avg_b1))
+        self._at = alpha
         return (
             self._lin0
             + alpha * self._lin1
@@ -326,8 +348,17 @@ class LineObjective:
 
         bilap += alpha lap^2 d, dphi += alpha D d and gsq += alpha (2 B + alpha C),
         with the d-side arrays scaled in place so that nothing is allocated.
+        lap phi is dropped.  When alpha is the last point evaluated, that
+        evaluation's beta and beta' are those of phi + alpha d (d alpha + phi
+        rounds like phi + alpha d) and are handed to the terms; otherwise the
+        terms drop theirs.
         """
         terms = self.terms
+        terms.lap = None
+        if alpha == self._at:
+            terms.beta, terms.beta_prime = self._work[4:]
+        else:
+            terms.beta = terms.beta_prime = None
         terms.bilap += np.multiply(self._bilap_d, alpha, out=self._bilap_d)
         for dphi, dd in zip(terms.dphi, self._dd):
             dphi += np.multiply(dd, alpha, out=dd)
@@ -460,7 +491,8 @@ def psd_solve(
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
 
-    f = rhs_explicit(phi_n, dt, grid, pp)
+    kept = _Kept()
+    f = rhs_explicit(phi_n, dt, grid, pp, keep=kept)
     if source is not None:
         f = f + source
     vol = grid.cell_volume
@@ -487,19 +519,20 @@ def psd_solve(
     d = r_prev = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
-        r = f - nonlinear_map(phi, dt, grid, pp, terms)
+        # Terms built from phi (it == 0) give the from-scratch residual, and
+        # its pieces are kept in case it ends the solve.
+        r = f - nonlinear_map(phi, dt, grid, pp, terms, keep=kept if it == 0 else None)
         res = float(np.sqrt(vol * np.sum(r * r)))
         if res <= tol and it > 0:
-            # Terms built from phi (it == 0) give the from-scratch residual;
-            # carried ones drift by round-off, so only a residual from
-            # scratch may end the solve.  If it misses, start over from phi.
-            r = f - nonlinear_map(phi, dt, grid, pp)
+            # Carried terms drift by round-off, so only a residual from
+            # scratch may end the solve.  If it misses, go on from its terms.
+            r = f - nonlinear_map(phi, dt, grid, pp, keep=kept)
             res = float(np.sqrt(vol * np.sum(r * r)))
             if res > tol:
-                terms = linear_terms(phi, grid)
+                terms = kept.terms
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
-            return phi, SolveReport(it, res, ls_evals, margin, restarts, exhausted)
+            return phi, SolveReport(it, res, ls_evals, margin, restarts, exhausted, kept)
         if it == cfg.max_iter:
             raise SolverDivergedError(
                 f"residual {res:.3e} > tolerance {tol:.3e} after {it} iterations",

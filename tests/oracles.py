@@ -1,8 +1,11 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except ``spectral_norm_hm1`` is built from the textbook
-definitions with dense matrices and explicit index arithmetic, deliberately
-avoiding the production stencil and FFT code paths.
+Everything here except ``spectral_norm_hm1`` and ``step_record_from_scratch``
+is built from the textbook definitions with dense matrices and explicit index
+arithmetic, deliberately avoiding the production stencil and FFT code paths.
+``step_record_from_scratch`` recomputes a step's record from the public
+energy functions alone: the step reuses what its solve computed, and must
+match that bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ import math
 
 import numpy as np
 
-from fchsim.grid import Grid, SpectralWorkspace
+from fchsim.dynamics import DiagnosticsRecord
+from fchsim.energy import chemical_potential, energy_total
+from fchsim.grid import Grid, SpectralWorkspace, grad_norm_sq, norm
 from fchsim.potential import beta, beta_prime, beta_second
 
 
@@ -109,6 +114,40 @@ def spectral_norm_hm1(f: np.ndarray, ws: SpectralWorkspace) -> float:
     np.divide(fhat, ws.sigma, out=psi_hat, where=ws.sigma > 0)
     val = ws.grid.cell_volume * float(np.sum(f * ws.inverse(psi_hat)))
     return math.sqrt(max(val, 0.0))
+
+
+def step_record_from_scratch(
+    phi_old: np.ndarray,
+    phi_new: np.ndarray,
+    grid: Grid,
+    pp,
+    *,
+    step: int,
+    t: float,
+    dt: float,
+    psd_iters: int,
+    residual: float,
+) -> DiagnosticsRecord:
+    """The record of the step phi_old -> phi_new, every field computed afresh
+    by the public energy_total, chemical_potential, grad_norm_sq and norm;
+    the solver's counters are passed through."""
+    eb = energy_total(phi_new, grid, pp)
+    mu = chemical_potential(phi_new, phi_old, grid, pp)
+    return DiagnosticsRecord(
+        step=step,
+        t=t,
+        dt=dt,
+        e_fch=eb.total,
+        e_ch=eb.cahn_hilliard,
+        e_pfw=eb.willmore,
+        mass=float(np.mean(phi_new)),
+        phi_min=float(np.min(phi_new)),
+        phi_max=float(np.max(phi_new)),
+        h2_norm=norm(phi_new, grid, "h2"),
+        grad_mu=float(np.sqrt(grad_norm_sq(mu, grid))),
+        psd_iters=psd_iters,
+        residual=residual,
+    )
 
 
 def beta_third(r):

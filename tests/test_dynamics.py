@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fchsim.dynamics
+import fchsim.energy
+import fchsim.solver
 from fchsim.dynamics import (
     ENERGY_SLACK_FACTOR,
     MASS_RTOL,
@@ -17,7 +21,7 @@ from fchsim.dynamics import (
 )
 from fchsim.energy import energy_total
 from fchsim.grid import Grid, SpectralWorkspace, cell_diff, face_diff, inner, norm
-from fchsim.potential import PhysParams
+from fchsim.potential import PhysParams, beta_prime
 from fchsim.scenarios import (
     init_spinodal,
     manufactured_forcing,
@@ -27,7 +31,7 @@ from fchsim.scenarios import (
 )
 from fchsim.solver import LineSearchError, SolverConfig, SolverDivergedError, psd_solve
 
-from oracles import smooth_admissible_field
+from oracles import smooth_admissible_field, step_record_from_scratch
 
 PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 CFG = SolverConfig()
@@ -510,3 +514,110 @@ class TestAdvanceAdaptive:
         records, _ = advance_adaptive(phi, 0.05, g, pp, AdaptiveConfig(), CFG, ws)
         m0 = phi.mean()
         assert all(abs(r.mass - m0) <= 1e-10 * max(1.0, abs(m0)) for r in records)
+
+
+def _spinodal_32():
+    """A 32^2 spinodal run whose solves end both at their first residual and later."""
+    g = Grid.square(32)
+    pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
+    cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-4, ls_tol=1e-4)
+    return g, pp, cfg, init_spinodal(g, 1)
+
+
+def _record_bytes(rec):
+    return [np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in dataclasses.astuple(rec)]
+
+
+class TestEachStateEvaluatedOnce:
+    """The step reuses what its solve computed; its records must not move."""
+
+    def _assert_records_from_scratch(self, records, states, g, pp):
+        assert len(states) == len(records) + 1
+        for rec, phi_old, phi_new in zip(records, states, states[1:]):
+            want = step_record_from_scratch(
+                phi_old, phi_new, g, pp, step=rec.step, t=rec.t, dt=rec.dt,
+                psd_iters=rec.psd_iters, residual=rec.residual,
+            )
+            assert _record_bytes(rec) == _record_bytes(want)
+
+    def test_adaptive_records_match_a_from_scratch_oracle(self):
+        g, pp, cfg, phi0 = _spinodal_32()
+        states = [phi0]
+        records, _ = advance_adaptive(
+            phi0, 0.004, g, pp, AdaptiveConfig(dt_max=2e-4), cfg, SpectralWorkspace(g),
+            sink=lambda rec, phi: states.append(phi.copy()),
+        )
+        iters = {rec.psd_iters for rec in records}
+        assert 0 in iters and max(iters) > 0
+        self._assert_records_from_scratch(records, states, g, pp)
+
+    def test_forced_fixed_records_match_a_from_scratch_oracle(self):
+        scn = preset("convergence", n=16)
+        g, pp = scn.grid, scn.phys
+        phi0 = manufactured_state(g, 0.0)
+        states = [phi0]
+        records, _ = advance_fixed(
+            phi0, 16.0 * g.spacing[0] ** 2, 4, g, pp, CFG, SpectralWorkspace(g),
+            source_fn=lambda t: manufactured_forcing(g, t, pp, 4),
+            sink=lambda rec, phi: states.append(phi.copy()),
+        )
+        self._assert_records_from_scratch(records, states, g, pp)
+
+    def test_each_piece_is_computed_once_per_step(self, monkeypatch):
+        # per step: var_convex on terms built from the accepted state itself
+        # runs once (the solve's last residual), var_concave once (phi_n's
+        # right-hand side) and chemical_potential once; a residual on handed
+        # beta terms calls no beta
+        g, pp, cfg, phi0 = _spinodal_32()
+        real_terms, real_convex = fchsim.energy.linear_terms, fchsim.energy.var_convex
+        real_concave, real_beta = fchsim.energy.var_concave, fchsim.energy.beta
+        real_mu, real_step = fchsim.dynamics.chemical_potential, fchsim.dynamics.step
+        built = {}  # id -> (terms, bytes of the phi they were built from)
+        calls = {"convex": [], "concave": 0, "mu": 0, "beta": 0, "handed": 0}
+        per_step = []
+
+        def linear_terms(phi, grid):
+            terms = real_terms(phi, grid)
+            built[id(terms)] = (terms, phi.tobytes())
+            return terms
+
+        def var_convex(phi, grid, pp, terms=None):
+            scratch = terms is None or built.get(id(terms), (None, b""))[1] == phi.tobytes()
+            calls["convex"].append((phi.tobytes(), scratch))
+            handed = terms is not None and terms.beta is not None
+            before = calls["beta"]
+            out = real_convex(phi, grid, pp, terms)
+            if handed:
+                calls["handed"] += 1
+                assert calls["beta"] == before
+                assert terms.beta.tobytes() == real_beta(phi).tobytes()
+                assert terms.beta_prime.tobytes() == beta_prime(phi).tobytes()
+            return out
+
+        def count(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def step(phi, *args, **kwargs):
+            calls.update(convex=[], concave=0, mu=0)
+            phi_new, rec = real_step(phi, *args, **kwargs)
+            at_new = sum(scratch for b, scratch in calls["convex"] if b == phi_new.tobytes())
+            per_step.append((at_new, calls["concave"], calls["mu"]))
+            return phi_new, rec
+
+        monkeypatch.setattr(fchsim.energy, "linear_terms", linear_terms)
+        monkeypatch.setattr(fchsim.solver, "linear_terms", linear_terms)
+        monkeypatch.setattr(fchsim.energy, "var_convex", var_convex)
+        monkeypatch.setattr(fchsim.energy, "var_concave", count("concave", real_concave))
+        monkeypatch.setattr(fchsim.energy, "beta", count("beta", real_beta))
+        monkeypatch.setattr(fchsim.dynamics, "chemical_potential", count("mu", real_mu))
+        monkeypatch.setattr(fchsim.dynamics, "step", step)
+        records, _ = advance_adaptive(
+            phi0, 0.002, g, pp, AdaptiveConfig(dt_max=2e-4), cfg, SpectralWorkspace(g)
+        )
+        assert len(per_step) >= len(records) == 10
+        assert per_step == [(1, 1, 1)] * len(per_step)
+        assert calls["handed"] > 0

@@ -34,6 +34,12 @@ class TestPhysParams:
             dict(eps=0.1, eta=-1.0, lam=1.0),
             dict(eps=0.1, eta=1.0, lam=0.0),
             dict(eps=0.1, eta=1.0, lam=1.0, p=3),
+            dict(eps=float("nan"), eta=1.0, lam=1.0),
+            dict(eps=0.1, eta=float("inf"), lam=1.0),
+            dict(eps=float("inf"), eta=1.0, lam=1.0),
+            dict(eps=0.1, eta=float("nan"), lam=1.0),
+            dict(eps=0.1, eta=1.0, lam=float("nan")),
+            dict(eps=0.1, eta=1.0, lam=float("inf")),
         ],
     )
     def test_rejects_bad_params(self, kwargs):

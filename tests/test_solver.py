@@ -47,11 +47,19 @@ class TestSolverConfig:
         "kwargs",
         [dict(tol_res=0.0), dict(max_iter=0), dict(ls_margin=0.0), dict(ls_margin=1.0), dict(theta1=-1.0),
          dict(ls_max=0), dict(ls_tol=0.0), dict(ls_tol=-1.0), dict(ls_tol=float("nan")),
-         dict(tol_res=float("nan"))],
+         dict(tol_res=float("nan")), dict(theta1=float("nan")), dict(theta2=float("inf")),
+         dict(max_iter=2.5), dict(ls_max=2.5)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value", [("theta1", float("nan")), ("theta2", float("inf")), ("max_iter", 2.5)]
+    )
+    def test_error_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
 
 
 class TestPreconditioner:
@@ -344,11 +352,11 @@ class TestPsdSolve:
         carried = []
         real = fchsim.solver.nonlinear_map
 
-        def spy(phi, dt, grid, pp, terms=None):
+        def spy(phi, dt, grid, pp, terms=None, keep=None):
             if terms is not None:
                 carried.append((phi.copy(), terms.bilap.copy(), [a.copy() for a in terms.dphi],
                                 terms.gsq.copy()))
-            return real(phi, dt, grid, pp, terms)
+            return real(phi, dt, grid, pp, terms, keep=keep)
 
         monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
         _, report = psd_solve(init_spinodal(g, 3), 2e-4, g, pp, cfg, SpectralWorkspace(g))
@@ -368,13 +376,13 @@ class TestPsdSolve:
         real = fchsim.solver.nonlinear_map
         calls = {"carried": 0, "scratch": []}
 
-        def lying(phi_, dt_, grid, pp, terms=None):
+        def lying(phi_, dt_, grid, pp, terms=None, keep=None):
             if terms is None:
-                out = real(phi_, dt_, grid, pp)
+                out = real(phi_, dt_, grid, pp, keep=keep)
                 calls["scratch"].append(norm(f - out, g, "l2"))
                 return out
             calls["carried"] += 1
-            return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms)
+            return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms, keep=keep)
 
         monkeypatch.setattr(fchsim.solver, "nonlinear_map", lying)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
