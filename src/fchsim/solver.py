@@ -27,12 +27,20 @@ direction d_k = z_k on its first iteration, whenever <z_k, r_k> exceeds
 <z_{k-1}, r_{k-1}> (the preconditioned residual grew), and whenever d_k is
 not a descent direction (g(0) >= 0).  The growth restart keeps iterates from
 being driven against the +-1 walls by stale conjugate directions.  With
-d = z, g(0) = -<L z, z> < 0 whenever unconverged, so the root is bracketed
-by doubling from the previous step length (1 on the first iteration) and
-polished with a secant/bisection hybrid.  Every trial step is capped so the
-iterate keeps a fraction of its current distance to the pure states +-1,
-where the logarithmic terms blow up; if the root lies beyond that cap the
-capped step is taken (it still decreases the objective) and later
+d = z, g(0) = -<L z, z> < 0 whenever unconverged.  g increases and is
+nearly linear, so the search first tries the previous step length (1 on the
+first iteration) and, while g stays negative, extrapolates along the chord
+through the last two points, starting from (0, g(0)), to at most four times
+the last trial; a chord that does not rise doubles the trial instead.  Once
+the root is bracketed, Illinois regula falsi (Dowell & Jarratt 1971) closes
+in on it: false-position cuts, with the g of an end halved when that end is
+kept twice in a row.  Any trial with |g| <= max(ls_tol |g(0)|, floor) ends
+the search, on either side of the root.  The floor is the round-off of the
+evaluation itself, 16 eps_machine times the summed magnitudes of the terms g
+adds up, much as ``psd_solve`` floors tol_res.  Every trial step is capped
+so the iterate keeps a fraction of its current distance to the pure states
++-1, where the logarithmic terms blow up; if the root lies beyond that cap
+the capped step is taken (it still decreases the objective) and later
 iterations re-center.
 
 The iteration carries one iterate state: phi and its LinearTerms (lap^2 phi,
@@ -89,6 +97,15 @@ __all__ = [
     "line_minimize",
     "psd_solve",
 ]
+
+
+# Round-off of one line evaluation, in units of the magnitude of its terms.
+_FLOOR_ULPS = 16.0 * float(np.finfo(float).eps)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of u * v over the grid, without forming the product field."""
+    return float(np.vdot(u, v))
 
 
 class SolverDivergedError(RuntimeError):
@@ -201,7 +218,8 @@ def precond_solve(
 ) -> np.ndarray:
     """Solve L d = r - mean(r); the result is mean-zero to round-off."""
     sym = precond_symbol(ws, dt, pp, cfg)
-    rhat = ws.forward(r - np.mean(r))
+    # zeroing the k = 0 coefficient removes the mean of r
+    rhat = ws.forward(r)
     rhat[(0,) * rhat.ndim] = 0.0
     rhat /= sym
     d = ws.inverse(rhat)
@@ -229,8 +247,10 @@ class LineObjective:
     divergence-form terms are moved onto faces by summation-by-parts.  The
     phi side comes from ``terms``, the LinearTerms of phi (built from phi
     when not given); only the d side is computed here.  Evaluations work in
-    place in six scratch fields allocated with the objective; two of them
+    place in five scratch fields allocated with the objective; two of them
     keep beta and beta' of the point last evaluated, for ``advance``.
+    ``floor`` holds the round-off of the value last returned: 16 eps_machine
+    times the summed magnitudes of the terms it adds up.
     """
 
     def __init__(
@@ -250,13 +270,9 @@ class LineObjective:
         self.grid = grid
         self.pp = pp
         self.terms = terms
-        self._work = [np.empty(phi.shape) for _ in range(6)]
+        self._work = [np.empty(phi.shape) for _ in range(5)]
         self._at = None
         work = self._work[0]
-
-        def dot(u: np.ndarray, v: np.ndarray) -> float:
-            return float(np.sum(np.multiply(u, v, out=work)))
-
         vol = grid.cell_volume
         c_quad = pp.lam * (pp.lam + pp.eps_p_eta)
         lap_d = laplacian(d, grid)
@@ -264,12 +280,12 @@ class LineObjective:
         # <N(phi_a), d> linear-in-alpha pieces: phi_a/dt and the linear
         # part of var_convex hit with the Laplacian moved onto d.
         self._lin0 = vol * (
-            dot(phi, d) / dt
-            - pp.eps**4 * dot(terms.bilap, lap_d)
-            - c_quad * dot(phi, lap_d)
-        ) - vol * dot(f_rhs, d)
+            _dot(phi, d) / dt
+            - pp.eps**4 * _dot(terms.bilap, lap_d)
+            - c_quad * _dot(phi, lap_d)
+        ) - vol * _dot(f_rhs, d)
         self._lin1 = vol * (
-            dot(d, d) / dt - pp.eps**4 * dot(bilap_d, lap_d) - c_quad * dot(d, lap_d)
+            _dot(d, d) / dt - pp.eps**4 * _dot(bilap_d, lap_d) - c_quad * _dot(d, lap_d)
         )
         self.lap_d = lap_d
         self._bilap_d = bilap_d
@@ -284,64 +300,66 @@ class LineObjective:
             dlap *= self._dd[a]
             self._face_q.append(dlap)
         # avg(|D phi_a|^2) = A + alpha (2 B + alpha C), summed over axes.
-        B = np.zeros_like(phi)
-        C = np.zeros_like(phi)
         for a, dd in enumerate(self._dd):
-            B += cell_avg(np.multiply(terms.dphi[a], dd, out=work), grid, a)
-            C += cell_avg(np.multiply(dd, dd, out=work), grid, a)
+            b_a = cell_avg(np.multiply(terms.dphi[a], dd, out=work), grid, a)
+            c_a = cell_avg(np.multiply(dd, dd, out=work), grid, a)
+            if a == 0:
+                B, C = b_a, c_a
+            else:
+                B += b_a
+                C += c_a
         B *= 2.0
         self._gsq_a, self._gsq_2b, self._gsq_c = terms.gsq, B, C
         self._vol = vol
         self.evals = 0
+        self.floor = 0.0
 
     def __call__(self, alpha: float) -> float:
         pp = self.pp
         self.evals += 1
         self._at = None
-        phi_a, one_minus, num, work, b, b1 = self._work
+        phi_a, avg, work, b, b1 = self._work
         np.multiply(self.d, alpha, out=phi_a)
         phi_a += self.phi
-        np.multiply(phi_a, phi_a, out=one_minus)
-        np.subtract(1.0, one_minus, out=one_minus)
-        if np.min(one_minus) <= 0.0:
+        # b1 = 2 / (1 - phi_a^2) and b = log1p(phi_a) - log1p(-phi_a), with
+        # the operations of beta_prime and beta.
+        np.multiply(phi_a, phi_a, out=b1)
+        np.subtract(1.0, b1, out=b1)
+        if np.min(b1) <= 0.0:
             raise PotentialDomainError(
                 f"line-search trial alpha = {alpha!r} left the phase domain"
             )
-        # Pointwise var_convex terms against lap(d):
-        # b b1 + eps^2 b2 gsq = (2 b one_minus + 4 eps^2 phi gsq) / one_minus^2,
-        # with b = log1p(phi_a) - log1p(-phi_a) and gsq = A + alpha (2 B + alpha C).
+        np.divide(2.0, b1, out=b1)
         np.log1p(phi_a, out=b)
         b -= np.log1p(np.negative(phi_a, out=work), out=work)
-        np.multiply(b, 2.0, out=num)
-        num *= one_minus
+        # Pointwise var_convex terms against lap(d): b b1 + eps^2 b2 gsq
+        # = b1 (b + eps^2 phi_a b1 gsq), with gsq = A + alpha (2 B + alpha C).
         gsq = np.multiply(self._gsq_c, alpha, out=work)
         gsq += self._gsq_2b
         gsq *= alpha
         gsq += self._gsq_a
-        phi_a *= 4.0 * pp.eps**2
+        phi_a *= pp.eps**2
         gsq *= phi_a
-        num += gsq
-        num /= np.multiply(one_minus, one_minus, out=work)
-        num *= self.lap_d
-        pointwise = -self._vol * float(np.sum(num))
+        gsq *= b1
+        gsq += b
+        gsq *= b1
+        pointwise = -self._vol * _dot(gsq, self.lap_d)
         # Divergence term moved onto faces: <lap d, d_a(avg(b1) Dphi_a)>
         # = -[D_a lap d, avg(b1) Dphi_a]; it enters var_convex with factor -2,
-        # and var_convex enters g negated, giving -2 overall.  b1 = 2 / one_minus.
-        np.divide(2.0, one_minus, out=b1)
+        # and var_convex enters g negated, giving -2 overall.  Per axis the
+        # face sum is [avg(b1), p_a] + alpha [avg(b1), q_a].
         face_sum = 0.0
         for a in range(self.grid.ndim):
-            avg_b1 = face_avg(b1, self.grid, a, out=num)
-            flux = np.multiply(self._face_q[a], alpha, out=work)
-            flux += self._face_p[a]
-            avg_b1 *= flux
-            face_sum += float(np.sum(avg_b1))
-        self._at = alpha
-        return (
-            self._lin0
-            + alpha * self._lin1
-            + pointwise
-            - 2.0 * pp.eps**2 * self._vol * face_sum
+            face_avg(b1, self.grid, a, out=avg)
+            face_sum += _dot(avg, self._face_p[a]) + alpha * _dot(avg, self._face_q[a])
+        face = 2.0 * pp.eps**2 * self._vol * face_sum
+        linear = alpha * self._lin1
+        # Rounding the terms bounds how close to zero the sum can be resolved.
+        self.floor = _FLOOR_ULPS * (
+            abs(self._lin0) + abs(linear) + abs(pointwise) + abs(face)
         )
+        self._at = alpha
+        return self._lin0 + linear + pointwise - face
 
     def advance(self, alpha: float) -> None:
         """Move ``terms`` in place to phi + alpha d; the objective is spent after.
@@ -356,7 +374,7 @@ class LineObjective:
         terms = self.terms
         terms.lap = None
         if alpha == self._at:
-            terms.beta, terms.beta_prime = self._work[4:]
+            terms.beta, terms.beta_prime = self._work[3:]
         else:
             terms.beta = terms.beta_prime = None
         terms.bilap += np.multiply(self._bilap_d, alpha, out=self._bilap_d)
@@ -378,14 +396,19 @@ def line_minimize(
     """Root of the built objective g inside the admissible interval.
 
     Returns (alpha, exhausted) and leaves g unmoved; the evaluations spent
-    are in ``g.evals``.  When the root lies beyond the admissibility cap,
-    the cap itself is returned; g is still negative there, so the step
-    decreases the descent objective.  ``g0`` may carry a precomputed g(0)
-    (the descent iteration knows it as -<residual, d>); ``hint`` seeds the
-    bracket with the previous accepted step length.  ``exhausted`` is True
-    only when the evaluation budget ran out inside a valid bracket; alpha is
-    then the point with the least |g| seen since the root was bracketed, not
-    a root within ``ls_tol``.
+    are in ``g.evals``.  The search ends at the first trial with
+    |g(alpha)| <= max(ls_tol |g(0)|, g.floor), on either side of the root,
+    or, inside a bracket, when the bracket has collapsed to a relative width
+    of 1e-14 (alpha is then the best point seen).  When the root lies beyond
+    the admissibility cap, the cap itself is returned; g is still negative
+    there, so the step decreases the descent objective.  ``g0`` may carry a
+    precomputed g(0) (the descent iteration knows it as -<residual, d>);
+    ``hint``, the previous accepted step length, is the first trial (halved
+    until it is below the cap).  Trials follow the chord until the root is
+    bracketed and Illinois regula falsi after (see the module docstring).
+    ``exhausted`` is True only when the evaluation budget ran out inside a
+    valid bracket; alpha is then the point with the least |g| seen since
+    the root was bracketed, not a root within the tolerance.
     """
     require_admissible(g.phi, "line search base point")
     if not np.any(g.d):
@@ -399,6 +422,12 @@ def line_minimize(
         return 0.0, False
     tol = cfg.ls_tol * scale
 
+    def done(val: float) -> bool:
+        return abs(val) <= max(tol, g.floor)
+
+    # Bracket: while g < 0, the next trial is the root of the chord through
+    # the last two points, at most four times the last trial and never past
+    # the cap; the trial doubles when the chord does not rise.
     lo, g_lo = 0.0, g0
     hi = hint if hint is not None and hint > 0.0 else 1.0
     while hi > cap:
@@ -410,43 +439,46 @@ def line_minimize(
                 f"no sign change within {cfg.ls_max} evaluations (alpha up to {hi:.3e})"
             )
         g_hi = g(hi)
-        if g_hi >= 0.0:
+        if done(g_hi):
+            return hi, False
+        if g_hi > 0.0:
             break
         if at_cap:
             return hi, False
+        slope = (g_hi - g_lo) / (hi - lo)
+        root = hi - g_hi / slope if slope > 0.0 else hi
         lo, g_lo = hi, g_hi
-        hi *= 2.0
+        hi = min(root, 4.0 * hi) if root > hi else 2.0 * hi
         if hi >= cap:
             hi = cap
             at_cap = True
-    if abs(g_hi) <= tol:
-        return hi, False
 
-    # Secant with bisection safeguarding on the bracket [lo, hi].  Near
-    # convergence g sits at the floating-point noise floor and |g| <= tol may
-    # be unreachable, so a collapsed bracket also counts as success; forcing a
-    # bisection whenever the previous cut failed to halve the bracket keeps
-    # progress guaranteed.
+    # Illinois regula falsi on the bracket [lo, hi]: when the same end is
+    # kept twice in a row, its g is halved, so the cuts cannot stall on one
+    # side.  A collapsed bracket also counts as success.
     best_alpha, best_val = hi, abs(g_hi)
-    force_bisect = False
+    moved = 0  # the end the last cut replaced: -1 lo, +1 hi
     while g.evals < cfg.ls_max:
-        width = hi - lo
-        if width <= 1e-14 * max(1.0, hi):
+        if hi - lo <= 1e-14 * max(1.0, hi):
             return best_alpha, False
-        denom = g_hi - g_lo
-        alpha = hi - g_hi * width / denom if denom != 0 and not force_bisect else 0.5 * (lo + hi)
-        if not (lo < alpha < hi):
+        alpha = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < alpha < hi:
             alpha = 0.5 * (lo + hi)
         val = g(alpha)
         if abs(val) < best_val:
             best_alpha, best_val = alpha, abs(val)
-        if abs(val) <= tol:
+        if done(val):
             return alpha, False
         if val < 0.0:
             lo, g_lo = alpha, val
+            if moved == -1:
+                g_hi *= 0.5
+            moved = -1
         else:
             hi, g_hi = alpha, val
-        force_bisect = (hi - lo) > 0.5 * width
+            if moved == 1:
+                g_lo *= 0.5
+            moved = 1
     # Budget exhausted with a valid bracket: the root is localized, take the
     # best point seen.
     return best_alpha, True
@@ -562,7 +594,7 @@ def psd_solve(
                 iterations=it,
             )
         g.advance(alpha)
-        del g  # its fields (14 in 2D) would stay resident through the next residual
+        del g  # its fields (15 in 2D) would stay resident through the next residual
         alpha_prev = alpha
         phi += alpha * d
         r_prev, zr_prev = r, zr

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except ``spectral_norm_hm1`` and ``step_record_from_scratch``
-is built from the textbook definitions with dense matrices and explicit index
-arithmetic, deliberately avoiding the production stencil and FFT code paths.
-``step_record_from_scratch`` recomputes a step's record from the public
-energy functions alone: the step reuses what its solve computed, and must
-match that bit for bit.
+Everything here except ``spectral_norm_hm1``, ``step_record_from_scratch``
+and ``reference_line_minimize`` is built from the textbook definitions with
+dense matrices and explicit index arithmetic, deliberately avoiding the
+production stencil and FFT code paths.  ``step_record_from_scratch``
+recomputes a step's record from the public energy functions alone: the step
+reuses what its solve computed, and must match that bit for bit.
+``reference_line_minimize`` is the earlier root search on the line
+objective, the baseline that the production search must not spend more
+evaluations than.
 """
 
 from __future__ import annotations
@@ -461,3 +464,67 @@ def whole_lattice_forcing(grid: Grid, t: float, pp, refine_factor: int = 4) -> n
     dphi_dt = -(sin_x[::R] * cos_y[::R]) * (np.sin(t) / np.pi)
     s = dphi_dt - _whole_lattice_band_laplacian(mu, grid.shape, grid.lengths)
     return s - np.mean(s)
+
+
+def reference_line_minimize(g, cfg, g0: float | None = None, hint: float | None = None):
+    """Root of the line objective g by doubling, then a secant/bisection hybrid.
+
+    The search ``fchsim.solver.line_minimize`` replaced, kept as the
+    baseline: the same (alpha, exhausted) contract, evaluations counted in
+    ``g.evals``.  From the previous step length (1 without one, halved below
+    the cap) the trial doubles until g >= 0 or the cap is reached; inside
+    the bracket a secant cut is taken, and a bisection whenever the last cut
+    did not halve the bracket.  It stops when |g| <= ls_tol |g(0)| on the
+    right of the root, or when the bracket collapses to 1e-14.
+    """
+    if not np.any(g.d):
+        return 0.0, False
+    cap = masked_step_cap(g.phi, g.d, cfg.ls_margin)
+    if g0 is None:
+        g0 = g(0.0)
+    if g0 == 0.0 or g0 > 0.0:
+        return 0.0, False
+    tol = cfg.ls_tol * abs(g0)
+
+    lo, g_lo = 0.0, g0
+    hi = hint if hint is not None and hint > 0.0 else 1.0
+    while hi > cap:
+        hi *= 0.5
+    at_cap = False
+    while True:
+        if g.evals >= cfg.ls_max:
+            raise RuntimeError(f"no sign change within {cfg.ls_max} evaluations")
+        g_hi = g(hi)
+        if g_hi >= 0.0:
+            break
+        if at_cap:
+            return hi, False
+        lo, g_lo = hi, g_hi
+        hi *= 2.0
+        if hi >= cap:
+            hi = cap
+            at_cap = True
+    if abs(g_hi) <= tol:
+        return hi, False
+
+    best_alpha, best_val = hi, abs(g_hi)
+    force_bisect = False
+    while g.evals < cfg.ls_max:
+        width = hi - lo
+        if width <= 1e-14 * max(1.0, hi):
+            return best_alpha, False
+        denom = g_hi - g_lo
+        alpha = hi - g_hi * width / denom if denom != 0 and not force_bisect else 0.5 * (lo + hi)
+        if not (lo < alpha < hi):
+            alpha = 0.5 * (lo + hi)
+        val = g(alpha)
+        if abs(val) < best_val:
+            best_alpha, best_val = alpha, abs(val)
+        if abs(val) <= tol:
+            return alpha, False
+        if val < 0.0:
+            lo, g_lo = alpha, val
+        else:
+            hi, g_hi = alpha, val
+        force_bisect = (hi - lo) > 0.5 * width
+    return best_alpha, True

@@ -12,6 +12,7 @@ from fchsim.energy import (
 )
 from fchsim.grid import Grid, SpectralWorkspace, inner, laplacian, norm
 from fchsim.potential import PhysParams
+from fchsim.scenarios import init_spinodal, preset, well_depth
 from fchsim.solver import (
     LineObjective,
     SolverConfig,
@@ -27,6 +28,7 @@ from oracles import (
     dense_laplacian,
     masked_step_cap,
     newton_solve,
+    reference_line_minimize,
     smooth_admissible_field,
     spectral_norm_hm1,
 )
@@ -294,6 +296,125 @@ class TestLineSearch:
         assert exhausted and len(seen) == obj.evals == ls_max
         assert alpha == min(seen, key=lambda p: abs(p[1]))[0]
         assert not line_minimize(LineObjective(phi, d, f, dt, g, PP), CFG, g0=g0)[1]
+
+
+class _Scalar(LineObjective):
+    """A line objective given by a scalar function of alpha, with a fixed floor.
+
+    The base point is 0 on a 4x4 grid and d = +-c, so the step cap is
+    ``cap``; every trial is kept in ``trials``.
+    """
+
+    def __init__(self, fn, cap=100.0, floor=0.0):
+        self.phi = np.zeros((4, 4))
+        self.d = np.tile([1.0, -1.0], (4, 2)) * ((1.0 - CFG.ls_margin) / cap)
+        self.fn, self._floor = fn, floor
+        self.evals, self.floor = 0, 0.0
+        self.trials = []
+
+    def __call__(self, alpha):
+        self.evals += 1
+        val = self.fn(alpha)
+        self.floor = self._floor
+        self.trials.append((alpha, val))
+        return val
+
+
+class TestLineSearchRule:
+    """The chord extrapolation, Illinois regula falsi and the round-off stop."""
+
+    def test_linear_g_takes_two_evaluations(self):
+        obj = _Scalar(lambda a: 3.0 * (a - 2.7))
+        alpha, exhausted = line_minimize(obj, CFG, g0=-8.1)
+        # the first trial, then the root of the chord from (0, g0)
+        assert obj.evals == 2 and not exhausted
+        assert alpha == pytest.approx(2.7, rel=1e-12)
+
+    def test_convex_g_at_tight_tolerance(self):
+        # root 1.8, where g' has grown by 18 % (the objectives of a solve
+        # are flatter still; g' doubling takes up to 9 evaluations)
+        obj = _Scalar(lambda a: a + 0.05 * a * a - 1.962)
+        alpha, exhausted = line_minimize(obj, SolverConfig(ls_tol=1e-10), g0=-1.962)
+        assert obj.evals <= 6 and not exhausted
+        assert abs(obj.fn(alpha)) <= 1e-10 * 1.962
+        assert alpha == pytest.approx(1.8, rel=1e-9)
+        ref = _Scalar(obj.fn)
+        reference_line_minimize(ref, SolverConfig(ls_tol=1e-10), g0=-1.962)
+        assert obj.evals < ref.evals
+
+    def test_stops_at_the_round_off_floor(self):
+        # g is resolved only to 1e-3 near its root; ls_tol asks for far less
+        def fn(a):
+            return a - 2.0 + 1e-3 * np.sin(1e7 * a)
+
+        obj = _Scalar(fn, floor=1e-3)
+        alpha, exhausted = line_minimize(obj, CFG, g0=-2.0)
+        assert obj.evals <= 4 and not exhausted
+        assert alpha == min(obj.trials, key=lambda p: abs(p[1]))[0]
+        assert abs(fn(alpha)) <= 1e-3
+        ref = _Scalar(fn, floor=1e-3)
+        reference_line_minimize(ref, CFG, g0=-2.0)
+        assert ref.evals > 4
+
+    def test_negative_trial_within_tolerance_is_taken(self):
+        obj = _Scalar(lambda a: a - 1.0 - 1e-12)
+        alpha, exhausted = line_minimize(obj, CFG, g0=-1.0)
+        assert (alpha, exhausted) == (1.0, False) and obj.evals == 1
+        assert obj.trials[0][1] < 0.0
+
+    @pytest.mark.parametrize(
+        "fn, hint",
+        [
+            pytest.param(lambda a: a - 50.0, None, id="root-past-cap"),
+            pytest.param(lambda a: 0.1 * a - 1.0, 2.0, id="slope-from-hint"),
+            pytest.param(lambda a: np.sqrt(a) - 3.0, None, id="concave"),
+            pytest.param(lambda a: -1.0, None, id="flat-doubles"),
+            pytest.param(lambda a: -1.0 + 1e-3 * a, 10.0, id="hint-past-cap"),
+        ],
+    )
+    def test_trials_never_pass_the_cap(self, fn, hint):
+        obj = _Scalar(fn, cap=3.0)
+        cap = admissible_step_cap(obj.phi, obj.d, CFG.ls_margin)
+        assert cap == pytest.approx(3.0)
+        alpha, exhausted = line_minimize(obj, CFG, g0=fn(0.0), hint=hint)
+        assert all(a <= cap for a, _ in obj.trials)
+        assert alpha == cap and not exhausted
+        # a trial is at most four times the one before it
+        steps = [a for a, _ in obj.trials]
+        assert all(b <= 4.0 * a for a, b in zip(steps, steps[1:]))
+
+    @pytest.mark.parametrize("case", ["pearling-32", "spinodal-32"])
+    def test_along_solves_against_the_reference(self, case, monkeypatch):
+        # every search of one step meets its stop rule, and all of them
+        # together spend no more evaluations than the reference search
+        if case == "pearling-32":
+            scn = preset("pearling", n=32)
+            g, pp, phi, dt, cfg = scn.grid, scn.phys, scn.initial_condition(), 1e-6, CFG
+        else:
+            g = Grid.square(32)
+            pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
+            phi, dt = init_spinodal(g, 1), 2e-4
+            cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-6, ls_tol=1e-4)
+        real_search = fchsim.solver.line_minimize
+        spent = {"new": 0, "reference": 0, "searches": 0}
+
+        def search(obj, cfg, g0=None, hint=None):
+            reference_line_minimize(obj, cfg, g0=g0, hint=hint)
+            spent["reference"] += obj.evals
+            obj.evals = 0
+            alpha, exhausted = real_search(obj, cfg, g0=g0, hint=hint)
+            evals = obj.evals
+            assert not exhausted
+            assert abs(obj(alpha)) <= max(cfg.ls_tol * abs(g0), obj.floor)
+            obj.evals = evals
+            spent["new"] += evals
+            spent["searches"] += 1
+            return alpha, exhausted
+
+        monkeypatch.setattr(fchsim.solver, "line_minimize", search)
+        _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
+        assert spent["searches"] == report.iterations >= 5
+        assert report.line_search_evals == spent["new"] <= spent["reference"]
 
 
 class TestPsdSolve:
