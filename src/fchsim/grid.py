@@ -150,9 +150,25 @@ def _pair(ufunc, x: np.ndarray, y: np.ndarray, axis: int, out: np.ndarray, upper
 # cell -> face stencils
 
 
-def face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+def _out(out: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    """``out``, checked to fit f, or a fresh field shaped like f.
+
+    A given ``out`` must be a C-contiguous float64 array of f's shape that
+    does not overlap f; the stencils taking ``out=`` write their result
+    there.
+    """
+    if out is None:
+        return np.empty(f.shape)
+    if out.shape != f.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {f.shape}")
+    return out
+
+
+def face_diff(
+    f: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Forward difference onto faces: (f_{i+1} - f_i) / h."""
-    out = _pair(np.subtract, f, f, axis, np.empty(f.shape), upper=False)
+    out = _pair(np.subtract, f, f, axis, _out(out, f), upper=False)
     out /= grid.spacing[axis]
     return out
 
@@ -160,16 +176,8 @@ def face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 def face_avg(
     f: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Forward average onto faces: (f_{i+1} + f_i) / 2.
-
-    ``out``, if given, receives the result: a C-contiguous float64 array of
-    f's shape that does not overlap f.
-    """
-    if out is None:
-        out = np.empty(f.shape)
-    elif out.shape != f.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {f.shape}")
-    _pair(np.add, f, f, axis, out, upper=False)
+    """Forward average onto faces: (f_{i+1} + f_i) / 2."""
+    out = _pair(np.add, f, f, axis, _out(out, f), upper=False)
     out *= 0.5
     return out
 
@@ -184,28 +192,38 @@ def cell_diff(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def cell_avg(g: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+def cell_avg(
+    g: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Average of the two faces of a cell: (g_{i+1/2} + g_{i-1/2}) / 2."""
-    out = _pair(np.add, g, g, axis, np.empty(g.shape), upper=True)
+    out = _pair(np.add, g, g, axis, _out(out, g), upper=True)
     out *= 0.5
     return out
 
 
-def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+def laplacian(
+    f: np.ndarray,
+    grid: Grid,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Standard 3/5-point periodic Laplacian (div of grad).
 
     Per axis (f_{i+1} - 2 f_i + f_{i-1}) / h^2, summed over axes.
+    ``scratch``, if given, is two fields the stencil works in, each checked
+    like ``out``; neither may overlap f, out or the other.
     """
-    two_f = 2.0 * f
-    ahead = np.empty(f.shape)
-    out = None
+    out = _out(out, f)
+    two_f, ahead = (_out(s, f) for s in (scratch or (None, None)))
+    np.multiply(2.0, f, out=two_f)
     for a in range(grid.ndim):
         _pair(np.subtract, f, two_f, a, ahead, upper=False)
-        term = _pair(np.add, ahead, f, a, np.empty(f.shape), upper=True)
+        # The first axis's term is the sum so far; the last axis no longer
+        # needs 2 f, so its term goes there (grids have at most two axes).
+        term = out if a == 0 else two_f
+        _pair(np.add, ahead, f, a, term, upper=True)
         term /= grid.spacing[a] ** 2
-        if out is None:
-            out = term
-        else:
+        if a > 0:
             out += term
     return out
 

@@ -66,6 +66,14 @@ N(phi) is recomputed without the state, and only that residual can stop the
 iteration and be reported.  If it misses, the iteration goes on from the
 terms that residual built.
 
+The objectives of one solve share a pool of fields.  The first allocates its
+fields (15 in 2D); ``advance`` gives back all of them but the beta pair it
+hands to the terms, together with the pair the terms held until then, and
+each later objective takes its fields from the pool instead of allocating.
+The next objective thus never writes into the pair the next residual reads:
+consecutive objectives alternate between two pairs.  The pool lives for one
+solve only.
+
 The solve keeps what the step's diagnostics need (``SolveReport.kept``):
 var_concave(phi_n) from ``rhs_explicit``, and the LinearTerms (with lap phi,
 beta and beta') and var_convex of the returned state from the residual
@@ -247,10 +255,15 @@ class LineObjective:
     divergence-form terms are moved onto faces by summation-by-parts.  The
     phi side comes from ``terms``, the LinearTerms of phi (built from phi
     when not given); only the d side is computed here.  Evaluations work in
-    place in five scratch fields allocated with the objective; two of them
-    keep beta and beta' of the point last evaluated, for ``advance``.
-    ``floor`` holds the round-off of the value last returned: 16 eps_machine
-    times the summed magnitudes of the terms it adds up.
+    place in five scratch fields of the objective; two of them keep beta and
+    beta' of the point last evaluated, for ``advance``.  ``floor`` holds the
+    round-off of the value last returned: 16 eps_machine times the summed
+    magnitudes of the terms it adds up.
+
+    The fields of the objective (15 in 2D) are taken from the private
+    ``_pool``, a list of spare fields shaped like phi, while it lasts, and
+    allocated otherwise; ``advance`` gives back to it the fields the next
+    objective may overwrite.
     """
 
     def __init__(
@@ -262,6 +275,8 @@ class LineObjective:
         grid: Grid,
         pp: PhysParams,
         terms: LinearTerms | None = None,
+        *,
+        _pool: list[np.ndarray] | None = None,
     ):
         if terms is None:
             terms = linear_terms(phi, grid)
@@ -270,13 +285,21 @@ class LineObjective:
         self.grid = grid
         self.pp = pp
         self.terms = terms
-        self._work = [np.empty(phi.shape) for _ in range(5)]
+        self._pool = _pool
+
+        def field() -> np.ndarray:
+            return _pool.pop() if _pool else np.empty(phi.shape)
+
+        self._work = [field() for _ in range(5)]
         self._at = None
-        work = self._work[0]
+        # The evaluation scratch is free until the first evaluation, and the
+        # Laplacians work in B and C, which are written last.
+        work, spare = self._work[2:4]
+        B, C = field(), field()
         vol = grid.cell_volume
         c_quad = pp.lam * (pp.lam + pp.eps_p_eta)
-        lap_d = laplacian(d, grid)
-        bilap_d = laplacian(lap_d, grid)
+        lap_d = laplacian(d, grid, out=field(), scratch=(B, C))
+        bilap_d = laplacian(lap_d, grid, out=field(), scratch=(B, C))
         # <N(phi_a), d> linear-in-alpha pieces: phi_a/dt and the linear
         # part of var_convex hit with the Laplacian moved onto d.
         self._lin0 = vol * (
@@ -291,23 +314,22 @@ class LineObjective:
         self._bilap_d = bilap_d
         # Face data for the nonlinear gradient terms: D d, and the products
         # of D phi and D d with D(lap d) the per-axis face inner products need.
-        self._dd = [face_diff(d, grid, a) for a in range(grid.ndim)]
+        self._dd = [face_diff(d, grid, a, out=field()) for a in range(grid.ndim)]
         self._face_p = []
         self._face_q = []
         for a in range(grid.ndim):
-            dlap = face_diff(lap_d, grid, a)
-            self._face_p.append(terms.dphi[a] * dlap)
+            dlap = face_diff(lap_d, grid, a, out=field())
+            self._face_p.append(np.multiply(terms.dphi[a], dlap, out=field()))
             dlap *= self._dd[a]
             self._face_q.append(dlap)
         # avg(|D phi_a|^2) = A + alpha (2 B + alpha C), summed over axes.
         for a, dd in enumerate(self._dd):
-            b_a = cell_avg(np.multiply(terms.dphi[a], dd, out=work), grid, a)
-            c_a = cell_avg(np.multiply(dd, dd, out=work), grid, a)
-            if a == 0:
-                B, C = b_a, c_a
-            else:
-                B += b_a
-                C += c_a
+            for total, factor in ((B, terms.dphi[a]), (C, dd)):
+                np.multiply(factor, dd, out=work)
+                if a == 0:
+                    cell_avg(work, grid, a, out=total)
+                else:
+                    total += cell_avg(work, grid, a, out=spare)
         B *= 2.0
         self._gsq_a, self._gsq_2b, self._gsq_c = terms.gsq, B, C
         self._vol = vol
@@ -370,9 +392,13 @@ class LineObjective:
         evaluation's beta and beta' are those of phi + alpha d (d alpha + phi
         rounds like phi + alpha d) and are handed to the terms; otherwise the
         terms drop theirs.
+
+        With a pool, every field of the objective but a pair handed to the
+        terms goes back to it, and so does the pair the terms held before.
         """
         terms = self.terms
         terms.lap = None
+        dropped = (terms.beta, terms.beta_prime)
         if alpha == self._at:
             terms.beta, terms.beta_prime = self._work[3:]
         else:
@@ -385,6 +411,12 @@ class LineObjective:
         step += self._gsq_2b
         step *= alpha
         terms.gsq += step
+        if self._pool is not None:
+            own = self._work[:3] if terms.beta is not None else self._work
+            self._pool += [*own, self.lap_d, self._bilap_d, self._gsq_2b, self._gsq_c]
+            self._pool += self._dd + self._face_p + self._face_q
+            # A pair computed outside the pool may be laid out otherwise.
+            self._pool += [a for a in dropped if a is not None and a.flags.c_contiguous]
 
 
 def line_minimize(
@@ -528,8 +560,8 @@ def psd_solve(
     if source is not None:
         f = f + source
     vol = grid.cell_volume
-    f_norm = float(np.sqrt(vol * np.sum(f * f)))
-    phi_norm = float(np.sqrt(vol * np.sum(phi_n * phi_n)))
+    f_norm = math.sqrt(vol * _dot(f, f))
+    phi_norm = math.sqrt(vol * _dot(phi_n, phi_n))
     fp_floor = np.finfo(float).eps * phi_norm * symbol_rms(ws, dt, pp, cfg)
     tol = max(cfg.tol_res * max(1.0, f_norm), fp_floor)
     if not np.isfinite(tol):
@@ -546,6 +578,8 @@ def psd_solve(
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
     terms = linear_terms(phi, grid)
+    # Objectives after the first take their fields from here (see ``advance``).
+    pool: list[np.ndarray] = []
     ls_evals = restarts = exhausted = 0
     alpha_prev: float | None = None
     d = r_prev = None
@@ -554,12 +588,12 @@ def psd_solve(
         # Terms built from phi (it == 0) give the from-scratch residual, and
         # its pieces are kept in case it ends the solve.
         r = f - nonlinear_map(phi, dt, grid, pp, terms, keep=kept if it == 0 else None)
-        res = float(np.sqrt(vol * np.sum(r * r)))
+        res = math.sqrt(vol * _dot(r, r))
         if res <= tol and it > 0:
             # Carried terms drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, go on from its terms.
             r = f - nonlinear_map(phi, dt, grid, pp, keep=kept)
-            res = float(np.sqrt(vol * np.sum(r * r)))
+            res = math.sqrt(vol * _dot(r, r))
             if res > tol:
                 terms = kept.terms
         if res <= tol:
@@ -572,18 +606,18 @@ def psd_solve(
                 iterations=it,
             )
         z = precond_solve(r, dt, pp, cfg, ws)
-        zr = float(np.sum(z * r))
+        zr = _dot(z, r)
         beta = 0.0
         if d is not None and zr <= zr_prev:
-            beta = max(0.0, (zr - float(np.sum(z * r_prev))) / zr_prev)
+            beta = max(0.0, (zr - _dot(z, r_prev)) / zr_prev)
         if beta > 0.0:
             d = z + beta * d
-            g0 = -vol * float(np.sum(r * d))
+            g0 = -vol * _dot(r, d)
         if beta == 0.0 or g0 >= 0.0:
             restarts += 1
             d = z
             g0 = -vol * zr
-        g = LineObjective(phi, d, f, dt, grid, pp, terms)
+        g = LineObjective(phi, d, f, dt, grid, pp, terms, _pool=pool)
         alpha, short = line_minimize(g, cfg, g0=g0, hint=alpha_prev)
         ls_evals += g.evals
         exhausted += short
@@ -593,8 +627,7 @@ def psd_solve(
                 residual=res,
                 iterations=it,
             )
-        g.advance(alpha)
-        del g  # its fields (15 in 2D) would stay resident through the next residual
+        g.advance(alpha)  # gives g's fields, bar the pair handed to terms, to the pool
         alpha_prev = alpha
         phi += alpha * d
         r_prev, zr_prev = r, zr

@@ -142,6 +142,41 @@ class TestStencilsMatchRoll:
             with pytest.raises(ValueError):
                 face_avg(f, g, 0, out=out)
 
+    @pytest.mark.parametrize("g", ROLL_GRIDS, ids=ROLL_IDS)
+    @pytest.mark.parametrize(
+        "stencil,reference",
+        [(face_diff, roll_face_diff), (cell_avg, roll_cell_avg)],
+        ids=lambda x: x.__name__,
+    )
+    def test_into_out(self, g, stencil, reference):
+        f = self.field(g)
+        out = np.full(g.shape, np.nan)
+        for a in range(g.ndim):
+            assert stencil(f, g, a, out=out) is out
+            assert out.tobytes() == reference(f, g, a).tobytes()
+
+    @pytest.mark.parametrize("g", ROLL_GRIDS, ids=ROLL_IDS)
+    def test_laplacian_into_out_with_scratch(self, g):
+        f = self.field(g)
+        out, *scratch = (np.full(g.shape, np.nan) for _ in range(3))
+        for kwargs in ({"out": out}, {"out": out, "scratch": scratch}, {"scratch": scratch}):
+            out.fill(np.nan)
+            got = laplacian(f, g, **kwargs)
+            assert (got is out) == ("out" in kwargs)
+            assert got.tobytes() == roll_laplacian(f, g).tobytes()
+
+    @pytest.mark.parametrize("stencil", [face_diff, cell_avg])
+    def test_rejects_bad_out(self, stencil):
+        g = Grid((6, 4), (1.0, 1.0))
+        f = self.field(g)
+        for out in (np.empty((4, 6)), np.empty((4, 6)).T, np.empty(24), np.empty((6, 4), np.float32)):
+            with pytest.raises(ValueError):
+                stencil(f, g, 0, out=out)
+            with pytest.raises(ValueError):
+                laplacian(f, g, out=out)
+            with pytest.raises(ValueError):
+                laplacian(f, g, scratch=(np.empty((6, 4)), out))
+
 
 class TestLaplacian:
     def test_constant(self):

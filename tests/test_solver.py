@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fchsim.energy import (
     var_concave,
 )
 from fchsim.grid import Grid, SpectralWorkspace, inner, laplacian, norm
-from fchsim.potential import PhysParams
+from fchsim.potential import PhysParams, beta, beta_prime
 from fchsim.scenarios import init_spinodal, preset, well_depth
 from fchsim.solver import (
     LineObjective,
@@ -650,6 +652,114 @@ class TestPsdSolve:
         res = norm(nonlinear_map(phi1, 0.02, g, PP) - f, g, "l2")
         assert res <= CFG.tol_res * max(1.0, norm(f, g, "l2")) * (1 + 1e-12)
         assert abs(phi1.mean() - phi.mean()) <= 1e-13
+
+
+class TestObjectivePool:
+    """Objectives of a solve after the first take over the fields of the
+    spent one; nothing left in those fields may reach a result."""
+
+    @staticmethod
+    def spinodal():
+        g = Grid.square(32)
+        pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
+        cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-6, ls_tol=1e-4)
+        return g, pp, cfg, init_spinodal(g, 1), 2e-4
+
+    @staticmethod
+    def held(terms):
+        return [terms.bilap, *terms.dphi, terms.gsq, terms.beta, terms.beta_prime]
+
+    def test_chain_matches_fresh_objectives(self):
+        # as in a solve: each objective is built on the moved terms, after the
+        # residual at its base point, from the fields the last one gave back
+        g, pp, cfg, phi, dt = self.spinodal()
+        ws = SpectralWorkspace(g)
+        f = rhs_explicit(phi, dt, g, pp)
+        rng = np.random.default_rng(7)
+        pooled, fresh = linear_terms(phi, g), linear_terms(phi, g)
+        pool = []
+        for k in range(6):
+            r = f - nonlinear_map(phi, dt, g, pp, pooled)
+            assert r.tobytes() == (f - nonlinear_map(phi, dt, g, pp, fresh)).tobytes()
+            d = precond_solve(r, dt, pp, cfg, ws)
+            if k % 2:
+                d *= rng.uniform(0.5, 1.5, g.shape)
+                d -= d.mean()
+            reused = LineObjective(phi, d, f, dt, g, pp, pooled, _pool=pool)
+            new = LineObjective(phi, d, f, dt, g, pp, fresh)
+            top = min(1.0, admissible_step_cap(phi, d, cfg.ls_margin))
+            alphas = [0.0, 0.3 * top, 0.9 * top, 0.6 * top]
+            for alpha in alphas:
+                assert reused(alpha) == new(alpha)
+                assert reused.floor == new.floor
+            # k == 3 steps to a point that is not the last evaluated, so the
+            # terms drop their beta pair
+            alpha = alphas[2] if k == 3 else alphas[-1]
+            reused.advance(alpha)
+            new.advance(alpha)
+            for got, want in zip(self.held(pooled), self.held(fresh)):
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
+            assert (pooled.beta is None) == (k == 3)
+            assert not {id(a) for a in self.held(pooled)} & {id(a) for a in pool}
+            assert len(pool) >= 15 if k else len(pool) == 15
+            phi = phi + alpha * d
+
+    def test_solve_matches_one_without_the_pool(self, monkeypatch):
+        g, pp, cfg, phi, dt = self.spinodal()
+        phi_pooled, report_pooled = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
+
+        class Unpooled(LineObjective):
+            def __init__(self, *args, _pool=None, **kwargs):
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fchsim.solver, "LineObjective", Unpooled)
+        phi_fresh, report_fresh = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
+        assert report_pooled.iterations >= 4
+        assert phi_pooled.tobytes() == phi_fresh.tobytes()
+        assert report_pooled == report_fresh
+
+    def test_handed_pair_is_beta_of_the_iterate(self, monkeypatch):
+        # every carried residual reads the pair the last objective handed
+        # on; it is beta and beta' of the iterate, and consecutive objectives
+        # hand on different arrays
+        g, pp, cfg, phi, dt = self.spinodal()
+        real = fchsim.solver.nonlinear_map
+        handed = []
+
+        def spy(phi, dt, grid, pp, terms=None, keep=None):
+            if terms is not None and terms.beta is not None:
+                assert terms.beta.tobytes() == beta(phi).tobytes()
+                assert terms.beta_prime.tobytes() == beta_prime(phi).tobytes()
+                handed.append((terms.beta, terms.beta_prime))
+            return real(phi, dt, grid, pp, terms, keep=keep)
+
+        monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
+        _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
+        assert len(handed) == report.iterations >= 4
+        for old, new in zip(handed, handed[1:]):
+            assert not any(a is b for a in old for b in new)
+
+    def test_later_objectives_allocate_no_field(self, monkeypatch):
+        g, pp, cfg, phi, dt = self.spinodal()
+        peaks = []
+
+        class Measured(LineObjective):
+            def __init__(self, *args, **kwargs):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                super().__init__(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(fchsim.solver, "LineObjective", Measured)
+        tracemalloc.start()
+        try:
+            _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
+        finally:
+            tracemalloc.stop()
+        field = g.num_cells * 8
+        assert len(peaks) == report.iterations >= 4
+        assert peaks[0] >= 15 * field
+        assert max(peaks[1:]) < field
 
 
 class TestTracedCallContract:
