@@ -41,6 +41,7 @@ Each piece of a state is computed once, and who computes it hands it on:
 * var_convex takes beta(phi) and beta'(phi) from the terms when they are
   there (the solver's line evaluation leaves them for the iterate it moves
   to), and records on the terms the ones it computes itself.
+* ``energy_total`` without terms takes beta(phi) from ``mixing_family``.
 * ``rhs_explicit`` and ``nonlinear_map`` take an optional ``keep`` that
   receives var_concave(phi_old), and the terms and var_convex(phi) of the
   state they evaluate.  The solver passes it to the evaluations of phi_n
@@ -58,6 +59,7 @@ import numpy as np
 
 from .grid import (
     Grid,
+    _dot,
     cell_avg,
     cell_diff,
     face_avg,
@@ -166,16 +168,16 @@ def energy_total(
     them instead of being computed again.
     """
     require_admissible(phi, "energy argument")
-    B, F, _ = mixing_family(phi, pp)
+    B, F, b = mixing_family(phi, pp)
     if terms is None:
         dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-        b, b1 = beta(phi), beta_prime(phi)
+        b1 = beta_prime(phi)
         lap, avg_sq = laplacian(phi, grid), _avg_sq(dphi, grid)
     else:
         dphi, b, b1 = terms.dphi, terms.beta, terms.beta_prime
         lap, avg_sq = terms.lap, terms.gsq
     vol = grid.cell_volume
-    gsq = vol * sum(float(np.sum(da * da)) for da in dphi)
+    gsq = vol * sum(_dot(da, da) for da in dphi)
 
     quad = 0.5 * (pp.lam**2 + pp.lam * pp.eps_p_eta)
     e_c = (

@@ -87,14 +87,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.shape))
-
     def axes(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates along each axis."""
         return tuple(
@@ -231,10 +223,15 @@ def laplacian(
 # inner products and norms
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of u * v over the grid, without forming the product field."""
+    return float(np.vdot(u, v))
+
+
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
     """Cell-volume-weighted inner product <f, g>."""
     _check_same_grid(f, g, grid)
-    return grid.cell_volume * float(np.sum(f * g))
+    return grid.cell_volume * _dot(f, g)
 
 
 def grad_norm_sq(f: np.ndarray, grid: Grid) -> float:
@@ -242,7 +239,7 @@ def grad_norm_sq(f: np.ndarray, grid: Grid) -> float:
     total = 0.0
     for a in range(grid.ndim):
         df = face_diff(f, grid, a)
-        total += float(np.sum(df * df))
+        total += _dot(df, df)
     return grid.cell_volume * total
 
 

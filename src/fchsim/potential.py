@@ -16,6 +16,8 @@ Mixing energy density and friends, with well depth lambda:
     B(r) = (1 + r) log(1 + r) + (1 - r) log(1 - r)     (convex part)
     F(r) = B(r) - lambda r^2 / 2
     f(r) = F'(r) = beta(r) - lambda r
+
+beta and beta' are in-place kernels, shared with the solver's line evaluation.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class PhysParams:
 
 
 # Each function below computes the expression in its comment with the same
-# operations in the same order, into buffers it allocates once per call.
+# operations in the same order, into buffers it is given or allocates once.
 
 
 def _buffers(r, count: int):
@@ -84,23 +86,29 @@ def _result(a: np.ndarray):
     return a if a.ndim else a[()]
 
 
-def beta(r):
-    # log1p(r) - log1p(-r)
-    require_admissible(r, "phase value")
-    r, out, work = _buffers(r, 2)
+def _beta(r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    # log1p(r) - log1p(-r), into out; work is scratch
     np.log1p(r, out=out)
     out -= np.log1p(np.negative(r, out=work), out=work)
-    return _result(out)
+    return out
 
 
-def beta_prime(r):
-    # 2 / (1 - r^2)
-    require_admissible(r, "phase value")
-    r, out = _buffers(r, 1)
+def _beta_prime(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # 2 / (1 - r^2), into out
     np.square(r, out=out)
     np.subtract(1.0, out, out=out)
     np.divide(2.0, out, out=out)
-    return _result(out)
+    return out
+
+
+def beta(r):
+    require_admissible(r, "phase value")
+    return _result(_beta(*_buffers(r, 2)))
+
+
+def beta_prime(r):
+    require_admissible(r, "phase value")
+    return _result(_beta_prime(*_buffers(r, 1)))
 
 
 def beta_second(r):
@@ -116,29 +124,28 @@ def beta_second(r):
 
 
 def mixing_family(r, pp: PhysParams):
-    """Mixing energy density pieces (B, F, f) at r.
+    """Mixing energy density pieces (B, F, beta) at r.
 
-    B is the convex logarithmic part, F = B - lam r^2 / 2 the full density,
-    f = F' its derivative.
+    B is the convex logarithmic part, F = B - lam r^2 / 2 the full density;
+    beta(r) comes from the log1p pair B needs, with the bits of ``beta``.
     """
     # B = (1 + r) log1p(r) + (1 - r) log1p(-r)
     # F = B - (lam / 2) r^2
-    # f = log1p(r) - log1p(-r) - lam r
+    # b = log1p(r) - log1p(-r)
     require_admissible(r, "phase value")
-    r, B, F, f, work = _buffers(r, 4)
-    np.log1p(r, out=f)
+    r, B, F, b, work = _buffers(r, 4)
+    np.log1p(r, out=b)
     np.log1p(np.negative(r, out=work), out=work)
     np.add(1.0, r, out=B)
-    B *= f
+    B *= b
     np.subtract(1.0, r, out=F)
     F *= work
     B += F
     np.square(r, out=F)
     F *= 0.5 * pp.lam
     np.subtract(B, F, out=F)
-    f -= work
-    f -= np.multiply(pp.lam, r, out=work)
-    return _result(B), _result(F), _result(f)
+    b -= work
+    return _result(B), _result(F), _result(b)
 
 
 def admissible(f: np.ndarray) -> bool:

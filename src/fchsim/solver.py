@@ -56,10 +56,10 @@ place by the step taken with ``LineObjective.advance``,
     gsq += alpha (2 B + alpha C),
 
 and the residual at the next iterate uses the moved terms.  The line
-evaluation computes beta and beta' at the point it evaluates, with the
-same operations as ``potential.beta`` and ``beta_prime``; when the step
-taken is the last point evaluated (nearly always), ``advance`` hands them
-to the terms, and the next residual takes them instead of computing them.
+evaluation computes beta and beta' at the point it evaluates with the
+kernels of ``potential.beta`` and ``beta_prime``; when the step taken is
+the last point evaluated (nearly always), ``advance`` hands them to the
+terms, and the next residual takes them instead of computing them.
 The moved terms drift from a rebuild by round-off, so only a residual from
 scratch may end a solve: when the carried residual meets the tolerance,
 N(phi) is recomputed without the state, and only that residual can stop the
@@ -72,7 +72,7 @@ hands to the terms, together with the pair the terms held until then, and
 each later objective takes its fields from the pool instead of allocating.
 The next objective thus never writes into the pair the next residual reads:
 consecutive objectives alternate between two pairs.  The pool lives for one
-solve only.
+solve only; it is emptied before the residual from scratch runs.
 
 The solve keeps what the step's diagnostics need (``SolveReport.kept``):
 var_concave(phi_n) from ``rhs_explicit``, and the LinearTerms (with lap phi,
@@ -88,9 +88,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .grid import Grid, SpectralWorkspace, cell_avg, face_avg, face_diff, laplacian
+from .grid import Grid, SpectralWorkspace, _dot, cell_avg, face_avg, face_diff, laplacian
 from .energy import LinearTerms, _Kept, linear_terms, nonlinear_map, rhs_explicit
-from .potential import PhysParams, PotentialDomainError, require_admissible
+from .potential import PhysParams, PotentialDomainError, admissible, require_admissible
+from .potential import _beta, _beta_prime
 
 __all__ = [
     "SolverConfig",
@@ -109,11 +110,6 @@ __all__ = [
 
 # Round-off of one line evaluation, in units of the magnitude of its terms.
 _FLOOR_ULPS = 16.0 * float(np.finfo(float).eps)
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Sum of u * v over the grid, without forming the product field."""
-    return float(np.vdot(u, v))
 
 
 class SolverDivergedError(RuntimeError):
@@ -343,17 +339,12 @@ class LineObjective:
         phi_a, avg, work, b, b1 = self._work
         np.multiply(self.d, alpha, out=phi_a)
         phi_a += self.phi
-        # b1 = 2 / (1 - phi_a^2) and b = log1p(phi_a) - log1p(-phi_a), with
-        # the operations of beta_prime and beta.
-        np.multiply(phi_a, phi_a, out=b1)
-        np.subtract(1.0, b1, out=b1)
-        if np.min(b1) <= 0.0:
+        if not admissible(phi_a):
             raise PotentialDomainError(
                 f"line-search trial alpha = {alpha!r} left the phase domain"
             )
-        np.divide(2.0, b1, out=b1)
-        np.log1p(phi_a, out=b)
-        b -= np.log1p(np.negative(phi_a, out=work), out=work)
+        _beta_prime(phi_a, b1)
+        _beta(phi_a, b, work)
         # Pointwise var_convex terms against lap(d): b b1 + eps^2 b2 gsq
         # = b1 (b + eps^2 phi_a b1 gsq), with gsq = A + alpha (2 B + alpha C).
         gsq = np.multiply(self._gsq_c, alpha, out=work)
@@ -592,6 +583,7 @@ def psd_solve(
         if res <= tol and it > 0:
             # Carried terms drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, go on from its terms.
+            pool.clear()
             r = f - nonlinear_map(phi, dt, grid, pp, keep=kept)
             res = math.sqrt(vol * _dot(r, r))
             if res > tol:

@@ -25,7 +25,7 @@ from fchsim.potential import beta, beta_prime, beta_second
 
 def dense_laplacian(grid: Grid) -> np.ndarray:
     """Dense matrix of the periodic 3/5-point Laplacian, row-major ordering."""
-    n_cells = grid.num_cells
+    n_cells = math.prod(grid.shape)
     L = np.zeros((n_cells, n_cells))
     shape = grid.shape
     spacing = grid.spacing

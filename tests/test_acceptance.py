@@ -12,6 +12,8 @@ every bound below is checked against the configured tolerance.  Expect a few
 minutes for the convergence tables and several minutes for the spinodal run.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ class TestCriterion6SolverCorrectness:
         r = rng.standard_normal(g.shape)
         dt = 0.03
         L = dense_laplacian(g)
-        eye = np.eye(g.num_cells)
+        eye = np.eye(math.prod(g.shape))
         c = self.PP.lam**2 + self.PP.lam * self.PP.eps_p_eta + cfg.theta2
         op = (
             eye / dt

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import pkgutil
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -47,17 +49,48 @@ def _referenced_names(paths):
     return names
 
 
+def test_one_implementation_per_operator():
+    # grid._dot is the one grid reduction, and potential's kernels the one
+    # place the logarithms of beta and B are taken
+    homes = {"vdot": "grid.py", "log1p": "potential.py"}
+    package = Path(fchsim.__file__).parent
+    uses = [
+        (node.attr, path.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in homes
+    ]
+    assert {attr for attr, _ in uses} == set(homes)
+    strays = [f"{attr} in {name}" for attr, name in uses if name != homes[attr]]
+    assert not strays, f"operators implemented outside their home module: {strays}"
+
+
+def _public_members(cls):
+    """The public methods and properties a class defines; dataclass fields are data."""
+    fields = getattr(cls, "__dataclass_fields__", {})
+    kinds = (FunctionType, classmethod, staticmethod, property, cached_property)
+    return [
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and name not in fields and isinstance(member, kinds)
+    ]
+
+
 def test_every_public_name_has_a_caller():
-    # a public name earns its place by a use in the program or its benchmark;
-    # the package re-exports and the tests do not count
+    # a public name, or a public method or property of a public class, earns
+    # its place by a use in the program or its benchmark; the package
+    # re-exports and the tests do not count
     package = Path(fchsim.__file__).parent
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
     used = _referenced_names(sources + bench)
-    uncalled = [
-        f"{name}.{public}"
-        for name in MODULES
-        for public in importlib.import_module(name).__all__
-        if public not in used
-    ]
+    uncalled = []
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for public in mod.__all__:
+            obj = getattr(mod, public)
+            members = _public_members(obj) if isinstance(obj, type) else []
+            uncalled += [f"{name}.{public}.{m}" for m in members if m not in used]
+            if public not in used:
+                uncalled.append(f"{name}.{public}")
     assert not uncalled, f"public names nothing in src or perfbench uses: {uncalled}"

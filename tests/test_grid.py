@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,7 @@ class TestGridConstruction:
         g = Grid((8, 4), (2.0, 1.0))
         assert g.spacing == (0.25, 0.25)
         assert g.cell_volume == pytest.approx(0.0625)
-        assert g.volume == pytest.approx(2.0)
+        assert g.cell_volume * math.prod(g.shape) == pytest.approx(math.prod(g.lengths))
 
     def test_cached_values_leave_repr_and_equality(self):
         # output.params_digest hashes repr(grid) into every snapshot header
@@ -215,6 +218,18 @@ class TestInnerProductsAndNorms:
 
     def test_inner_hand_value(self):
         assert inner(F4, F4, G4) == pytest.approx(0.5)
+
+    def test_inner_forms_no_product_field(self):
+        g = Grid.square(64)
+        f, h = g.full(1.0), g.full(2.0)
+        inner(f, h, g)
+        tracemalloc.start()
+        try:
+            assert inner(f, h, g) == 2.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.prod(g.shape) * 8
 
     def test_inner_grid_mismatch(self):
         g = Grid.line(4)

@@ -116,8 +116,11 @@ class TestInPlaceEvaluation:
         r, lam = self.R, self.PP.lam
         B = (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r)
         expected = (B, B - 0.5 * lam * np.square(r), np.log1p(r) - np.log1p(-r) - lam * r)
-        got = mixing_family(r, self.PP)
+        got_B, got_F, got_b = mixing_family(r, self.PP)
+        got = (got_B, got_F, got_b - lam * r)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        # the returned beta is the one energy_total uses in place of beta(r)
+        assert got_b.tobytes() == beta(r).tobytes()
 
     @pytest.mark.parametrize("r", [0.25, -0.9, np.float64(0.5), np.array(-0.3), 0])
     def test_scalar_input_gives_float64(self, r):
@@ -137,12 +140,13 @@ class TestMixingFamily:
     PP = PhysParams(eps=0.5, eta=1.0, lam=3.0, p=2)
 
     def test_values_at_zero(self):
-        B, F, f = mixing_family(0.0, self.PP)
-        assert (float(B), float(F), float(f)) == (0.0, 0.0, 0.0)
+        B, F, b = mixing_family(0.0, self.PP)
+        assert (float(B), float(F), float(b)) == (0.0, 0.0, 0.0)
 
     def test_well_placement(self):
         pp = PhysParams(eps=0.03, eta=4.0, lam=well_depth(0.9), p=1)
-        _, _, f = mixing_family(0.9, pp)
+        _, _, b = mixing_family(0.9, pp)
+        f = b - pp.lam * 0.9
         assert abs(float(f)) <= 1e-14
 
     def test_b_at_half(self):
@@ -151,11 +155,13 @@ class TestMixingFamily:
 
     def test_b_even_and_relations(self):
         r = np.linspace(-0.95, 0.95, 101)
-        B, F, f = mixing_family(r, self.PP)
+        B, F, b = mixing_family(r, self.PP)
         B_rev, _, _ = mixing_family(-r, self.PP)
+        f = b - self.PP.lam * r
         assert np.array_equal(B, B_rev)
         assert np.allclose(F, B - 0.5 * self.PP.lam * r**2, rtol=1e-14)
         assert np.allclose(f, beta(r) - self.PP.lam * r, rtol=1e-14)
+        assert b.tobytes() == beta(r).tobytes()
 
     def test_f_is_derivative_of_big_f(self):
         r = np.linspace(-0.99, 0.99, 1000)
@@ -163,7 +169,8 @@ class TestMixingFamily:
         _, F_hi, _ = mixing_family(r + h, self.PP)
         _, F_lo, _ = mixing_family(r - h, self.PP)
         fd = (F_hi - F_lo) / (2 * h)
-        _, _, f = mixing_family(r, self.PP)
+        _, _, b = mixing_family(r, self.PP)
+        f = b - self.PP.lam * r
         denom = np.maximum(np.abs(f), 1.0)
         assert np.max(np.abs(fd - f) / denom) <= 1e-6
 

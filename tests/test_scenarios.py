@@ -33,7 +33,8 @@ class TestWellDepth:
         lam = well_depth(0.9)
         pp = PhysParams(eps=0.03, eta=4.0, lam=lam, p=1)
         for r in (0.9, -0.9):
-            _, _, f = mixing_family(r, pp)
+            _, _, b = mixing_family(r, pp)
+            f = b - pp.lam * r
             assert abs(float(f)) <= 1e-14
 
     def test_rejects_bad_location(self):
@@ -120,7 +121,7 @@ class TestSpinodal:
     def test_sample_mean(self):
         g = Grid.square(256)
         phi = init_spinodal(g, seed=7)
-        bound = 3.0 * 0.01 / math.sqrt(3.0 * g.num_cells)
+        bound = 3.0 * 0.01 / math.sqrt(3.0 * math.prod(g.shape))
         assert abs(phi.mean() - 0.5) <= bound
 
 
@@ -219,7 +220,7 @@ class TestManufacturedForcing:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * g.num_cells * 8
+        assert peak <= 32 * math.prod(g.shape) * 8
 
     def test_one_step_error_ratio(self):
         # one forced step from the sampled exact state: halving h with

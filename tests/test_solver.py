@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from fchsim.energy import (
     var_concave,
 )
 from fchsim.grid import Grid, SpectralWorkspace, inner, laplacian, norm
-from fchsim.potential import PhysParams, beta, beta_prime
+from fchsim.potential import PhysParams, PotentialDomainError, beta, beta_prime
 from fchsim.scenarios import init_spinodal, preset, well_depth
 from fchsim.solver import (
     LineObjective,
@@ -105,7 +106,7 @@ class TestPreconditioner:
         rng = np.random.default_rng(32)
         r = rng.standard_normal(g.shape)
         L = dense_laplacian(g)
-        eye = np.eye(g.num_cells)
+        eye = np.eye(math.prod(g.shape))
         c = PP.lam**2 + PP.lam * PP.eps_p_eta + CFG.theta2
         op = eye / dt - PP.eps**4 * (L @ L @ L) + PP.eps**2 * CFG.theta1 * (L @ L) - c * L
         expected = np.linalg.solve(op, (r - r.mean()).ravel()).reshape(g.shape)
@@ -173,6 +174,20 @@ class TestLineSearch:
         for alpha in np.linspace(0.0, min(cap, 2.0), 9):
             naive = inner(nonlinear_map(phi + alpha * d, dt, g, PP) - f, d, g)
             assert obj(alpha) == pytest.approx(naive, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", ["past-wall", "nan"])
+    def test_trial_outside_domain_raises(self, bad):
+        # NaN fails every comparison, so a check that each value lies
+        # inside (-1, 1) is the only kind that catches it
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 38)
+        f = rhs_explicit(phi, dt, g, PP)
+        d = np.sign(phi)
+        if bad == "nan":
+            d[3, 5] = np.nan
+        obj = LineObjective(phi, d, f, dt, g, PP)
+        alpha = 2.0 if bad == "past-wall" else 0.1
+        with pytest.raises(PotentialDomainError, match="left the phase domain"):
+            obj(alpha)
 
     def test_step_cap_keeps_margin(self):
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 36)
@@ -756,7 +771,7 @@ class TestObjectivePool:
             _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
         finally:
             tracemalloc.stop()
-        field = g.num_cells * 8
+        field = math.prod(g.shape) * 8
         assert len(peaks) == report.iterations >= 4
         assert peaks[0] >= 15 * field
         assert max(peaks[1:]) < field
