@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class Grid:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(isinstance(n, Integral) for n in self.shape):
+            raise ValueError(f"cell counts must be integers, got {self.shape}")
         shape = tuple(int(n) for n in self.shape)
         lengths = tuple(float(l) for l in self.lengths)
         object.__setattr__(self, "shape", shape)
@@ -61,8 +64,8 @@ class Grid:
             raise ValueError(f"only 1D and 2D grids are supported, got {len(shape)}D")
         if any(n < 2 for n in shape):
             raise ValueError(f"need at least 2 cells per axis, got {shape}")
-        if any(l <= 0 for l in lengths):
-            raise ValueError(f"domain lengths must be positive, got {lengths}")
+        if not all(0.0 < l < math.inf for l in lengths):
+            raise ValueError(f"domain lengths must be positive and finite, got {lengths}")
 
     @classmethod
     def square(cls, n: int, length: float = 1.0) -> "Grid":
@@ -283,14 +286,14 @@ def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
 class SpectralWorkspace:
     """FFT machinery diagonalizing the stencil Laplacian on one grid.
 
-    Owns precomputed eigenvalues of ``-laplacian`` and a small cache for
-    solver preconditioner symbols.  Not shared between concurrent
-    simulations; each trajectory owns its workspace.
+    Owns precomputed eigenvalues of ``-laplacian`` and the solver
+    preconditioner symbol last computed, as a (key, symbol) pair.  Not shared
+    between concurrent simulations; each trajectory owns its workspace.
     """
 
     grid: Grid
     sigma: np.ndarray = field(init=False, repr=False)
-    _symbol_cache: dict = field(init=False, repr=False, default_factory=dict)
+    _symbol: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.sigma = _stencil_eigenvalues(self.grid)

@@ -66,13 +66,12 @@ N(phi) is recomputed without the state, and only that residual can stop the
 iteration and be reported.  If it misses, the iteration goes on from the
 terms that residual built.
 
-The objectives of one solve share a pool of fields.  The first allocates its
-fields (15 in 2D); ``advance`` gives back all of them but the beta pair it
-hands to the terms, together with the pair the terms held until then, and
-each later objective takes its fields from the pool instead of allocating.
-The next objective thus never writes into the pair the next residual reads:
-consecutive objectives alternate between two pairs.  The pool lives for one
-solve only; it is emptied before the residual from scratch runs.
+The first objective of a solve allocates its fields (15 in 2D); each later
+one takes over the fields of the spent one, in the same roles.  The beta pair
+the spent objective handed to the terms is among them: the next residual has
+read it by the time the next objective is built, and that objective drops it
+from the terms.  The solve lets go of the last objective before the residual
+from scratch runs, so its fields are freed.
 
 The solve keeps what the step's diagnostics need (``SolveReport.kept``):
 var_concave(phi_n) from ``rhs_explicit``, and the LinearTerms (with lap phi,
@@ -188,9 +187,8 @@ def precond_symbol(
 ) -> np.ndarray:
     """Positive Fourier symbol of the preconditioner for this step size."""
     key = (dt, pp.eps, pp.lam, pp.eps_p_eta, cfg.theta1, cfg.theta2)
-    cached = ws._symbol_cache.get(key)
-    if cached is not None:
-        return cached
+    if ws._symbol is not None and ws._symbol[0] == key:
+        return ws._symbol[1]
     s = ws.sigma
     sym = (
         1.0 / dt
@@ -198,8 +196,7 @@ def precond_symbol(
         + pp.eps**2 * cfg.theta1 * s**2
         + (pp.lam**2 + pp.lam * pp.eps_p_eta + cfg.theta2) * s
     )
-    ws._symbol_cache.clear()
-    ws._symbol_cache[key] = sym
+    ws._symbol = (key, sym)
     return sym
 
 
@@ -256,10 +253,10 @@ class LineObjective:
     round-off of the value last returned: 16 eps_machine times the summed
     magnitudes of the terms it adds up.
 
-    The fields of the objective (15 in 2D) are taken from the private
-    ``_pool``, a list of spare fields shaped like phi, while it lasts, and
-    allocated otherwise; ``advance`` gives back to it the fields the next
-    objective may overwrite.
+    Building the objective drops the beta pair of ``terms``.  Its fields
+    (15 in 2D) are allocated, or taken over from the private ``_spent``: a
+    spent objective on the same grid, whose fields nothing reads any more
+    but the pair it handed to ``terms``.
     """
 
     def __init__(
@@ -272,7 +269,7 @@ class LineObjective:
         pp: PhysParams,
         terms: LinearTerms | None = None,
         *,
-        _pool: list[np.ndarray] | None = None,
+        _spent: LineObjective | None = None,
     ):
         if terms is None:
             terms = linear_terms(phi, grid)
@@ -281,11 +278,12 @@ class LineObjective:
         self.grid = grid
         self.pp = pp
         self.terms = terms
-        self._pool = _pool
-
-        def field() -> np.ndarray:
-            return _pool.pop() if _pool else np.empty(phi.shape)
-
+        # five scratch fields, B, C, lap d, lap^2 d and, per axis, D d, p and q
+        if _spent is None:
+            self._fields = [np.empty(phi.shape) for _ in range(9 + 3 * grid.ndim)]
+        else:
+            self._fields = _spent._fields
+        field = iter(self._fields).__next__
         self._work = [field() for _ in range(5)]
         self._at = None
         # The evaluation scratch is free until the first evaluation, and the
@@ -331,6 +329,8 @@ class LineObjective:
         self._vol = vol
         self.evals = 0
         self.floor = 0.0
+        # a pair a spent objective handed to the terms is this one's scratch now
+        terms.beta = terms.beta_prime = None
 
     def __call__(self, alpha: float) -> float:
         pp = self.pp
@@ -382,14 +382,10 @@ class LineObjective:
         lap phi is dropped.  When alpha is the last point evaluated, that
         evaluation's beta and beta' are those of phi + alpha d (d alpha + phi
         rounds like phi + alpha d) and are handed to the terms; otherwise the
-        terms drop theirs.
-
-        With a pool, every field of the objective but a pair handed to the
-        terms goes back to it, and so does the pair the terms held before.
+        terms drop theirs.  The next objective may take over the fields.
         """
         terms = self.terms
         terms.lap = None
-        dropped = (terms.beta, terms.beta_prime)
         if alpha == self._at:
             terms.beta, terms.beta_prime = self._work[3:]
         else:
@@ -402,12 +398,6 @@ class LineObjective:
         step += self._gsq_2b
         step *= alpha
         terms.gsq += step
-        if self._pool is not None:
-            own = self._work[:3] if terms.beta is not None else self._work
-            self._pool += [*own, self.lap_d, self._bilap_d, self._gsq_2b, self._gsq_c]
-            self._pool += self._dd + self._face_p + self._face_q
-            # A pair computed outside the pool may be laid out otherwise.
-            self._pool += [a for a in dropped if a is not None and a.flags.c_contiguous]
 
 
 def line_minimize(
@@ -569,11 +559,9 @@ def psd_solve(
         if float(np.max(np.abs(candidate))) <= headroom:
             phi = candidate
     terms = linear_terms(phi, grid)
-    # Objectives after the first take their fields from here (see ``advance``).
-    pool: list[np.ndarray] = []
     ls_evals = restarts = exhausted = 0
     alpha_prev: float | None = None
-    d = r_prev = None
+    d = r_prev = g = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
         # Terms built from phi (it == 0) give the from-scratch residual, and
@@ -583,7 +571,7 @@ def psd_solve(
         if res <= tol and it > 0:
             # Carried terms drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, go on from its terms.
-            pool.clear()
+            g = None  # frees its fields; objectives after this allocate anew
             r = f - nonlinear_map(phi, dt, grid, pp, keep=kept)
             res = math.sqrt(vol * _dot(r, r))
             if res > tol:
@@ -609,7 +597,7 @@ def psd_solve(
             restarts += 1
             d = z
             g0 = -vol * zr
-        g = LineObjective(phi, d, f, dt, grid, pp, terms, _pool=pool)
+        g = LineObjective(phi, d, f, dt, grid, pp, terms, _spent=g)
         alpha, short = line_minimize(g, cfg, g0=g0, hint=alpha_prev)
         ls_evals += g.evals
         exhausted += short
@@ -619,7 +607,7 @@ def psd_solve(
                 residual=res,
                 iterations=it,
             )
-        g.advance(alpha)  # gives g's fields, bar the pair handed to terms, to the pool
+        g.advance(alpha)
         alpha_prev = alpha
         phi += alpha * d
         r_prev, zr_prev = r, zr

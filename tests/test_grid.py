@@ -50,11 +50,26 @@ class TestGridConstruction:
 
     @pytest.mark.parametrize(
         "shape,lengths",
-        [((1,), (1.0,)), ((4, 4, 4), (1.0, 1.0, 1.0)), ((4,), (-1.0,)), ((4, 2), (1.0,))],
+        [
+            ((1,), (1.0,)),
+            ((4, 4, 4), (1.0, 1.0, 1.0)),
+            ((4,), (-1.0,)),
+            ((4, 2), (1.0,)),
+            ((64.7, 64), (1.0, 1.0)),
+            ((4.0,), (1.0,)),
+            ((4,), (0.0,)),
+            ((4,), (math.nan,)),
+            ((4, 4), (1.0, math.inf)),
+        ],
     )
     def test_invalid_grids(self, shape, lengths):
         with pytest.raises(ValueError):
             Grid(shape, lengths)
+
+    def test_numpy_integer_counts(self):
+        g = Grid((np.int64(8), np.int32(4)), (np.float64(2.0), 1))
+        assert g == Grid((8, 4), (2.0, 1.0))
+        assert all(type(n) is int for n in g.shape)
 
 
 class TestStencils:

@@ -684,15 +684,21 @@ class TestObjectivePool:
     def held(terms):
         return [terms.bilap, *terms.dphi, terms.gsq, terms.beta, terms.beta_prime]
 
+    @staticmethod
+    def owned(obj):
+        # the objective's fields by role
+        return [*obj._work, obj.lap_d, obj._bilap_d, obj._gsq_2b, obj._gsq_c,
+                *obj._dd, *obj._face_p, *obj._face_q]
+
     def test_chain_matches_fresh_objectives(self):
         # as in a solve: each objective is built on the moved terms, after the
-        # residual at its base point, from the fields the last one gave back
+        # residual at its base point, from the fields of the spent one
         g, pp, cfg, phi, dt = self.spinodal()
         ws = SpectralWorkspace(g)
         f = rhs_explicit(phi, dt, g, pp)
         rng = np.random.default_rng(7)
         pooled, fresh = linear_terms(phi, g), linear_terms(phi, g)
-        pool = []
+        spent = None
         for k in range(6):
             r = f - nonlinear_map(phi, dt, g, pp, pooled)
             assert r.tobytes() == (f - nonlinear_map(phi, dt, g, pp, fresh)).tobytes()
@@ -700,7 +706,11 @@ class TestObjectivePool:
             if k % 2:
                 d *= rng.uniform(0.5, 1.5, g.shape)
                 d -= d.mean()
-            reused = LineObjective(phi, d, f, dt, g, pp, pooled, _pool=pool)
+            reused = LineObjective(phi, d, f, dt, g, pp, pooled, _spent=spent)
+            assert pooled.beta is None and pooled.beta_prime is None
+            assert len({id(a) for a in self.owned(reused)}) == 15
+            if spent is not None:
+                assert all(a is b for a, b in zip(self.owned(reused), self.owned(spent)))
             new = LineObjective(phi, d, f, dt, g, pp, fresh)
             top = min(1.0, admissible_step_cap(phi, d, cfg.ls_margin))
             alphas = [0.0, 0.3 * top, 0.9 * top, 0.6 * top]
@@ -715,8 +725,12 @@ class TestObjectivePool:
             for got, want in zip(self.held(pooled), self.held(fresh)):
                 assert (got is None and want is None) or got.tobytes() == want.tobytes()
             assert (pooled.beta is None) == (k == 3)
-            assert not {id(a) for a in self.held(pooled)} & {id(a) for a in pool}
-            assert len(pool) >= 15 if k else len(pool) == 15
+            if k != 3:
+                assert pooled.beta is reused._work[3] and pooled.beta_prime is reused._work[4]
+            assert not {id(a) for a in self.held(pooled)[:-2]} & {
+                id(a) for a in self.owned(reused)
+            }
+            spent = reused
             phi = phi + alpha * d
 
     def test_solve_matches_one_without_the_pool(self, monkeypatch):
@@ -724,7 +738,7 @@ class TestObjectivePool:
         phi_pooled, report_pooled = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
 
         class Unpooled(LineObjective):
-            def __init__(self, *args, _pool=None, **kwargs):
+            def __init__(self, *args, _spent=None, **kwargs):
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(fchsim.solver, "LineObjective", Unpooled)
@@ -735,8 +749,7 @@ class TestObjectivePool:
 
     def test_handed_pair_is_beta_of_the_iterate(self, monkeypatch):
         # every carried residual reads the pair the last objective handed
-        # on; it is beta and beta' of the iterate, and consecutive objectives
-        # hand on different arrays
+        # on; it is beta and beta' of the iterate
         g, pp, cfg, phi, dt = self.spinodal()
         real = fchsim.solver.nonlinear_map
         handed = []
@@ -751,8 +764,6 @@ class TestObjectivePool:
         monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
         _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
         assert len(handed) == report.iterations >= 4
-        for old, new in zip(handed, handed[1:]):
-            assert not any(a is b for a in old for b in new)
 
     def test_later_objectives_allocate_no_field(self, monkeypatch):
         g, pp, cfg, phi, dt = self.spinodal()
@@ -775,6 +786,19 @@ class TestObjectivePool:
         assert len(peaks) == report.iterations >= 4
         assert peaks[0] >= 15 * field
         assert max(peaks[1:]) < field
+
+    def test_solve_frees_the_objective_before_its_closing_residual(self):
+        g, pp, cfg, phi, dt = self.spinodal()
+        ws = SpectralWorkspace(g)
+        precond_symbol(ws, dt, pp, cfg)  # kept between solves, so not counted
+        tracemalloc.start()
+        try:
+            _, report = psd_solve(phi, dt, g, pp, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations >= 4
+        assert peak < 33 * math.prod(g.shape) * 8
 
 
 class TestTracedCallContract:
