@@ -151,7 +151,7 @@ def step(
 
     The new state's energy and the chemical potential mu =
     var_convex(phi_new) - var_concave(phi) are built from what the solve
-    kept (see ``SolveReport``): its beta family, stencils and both
+    returns (see ``SolveReport``): its beta family, stencils and both
     variational derivatives are not computed again.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
@@ -174,9 +174,8 @@ def step(
             "mass drift", abs(mass_after - mass_before), mass_bound, index
         )
 
-    kept = report.kept
-    eb = energy_total(phi_new, grid, pp, kept.terms)
-    mu = chemical_potential(phi_new, phi, grid, pp, kept.convex, kept.concave)
+    eb = energy_total(phi_new, grid, pp, report.terms)
+    mu = chemical_potential(phi_new, phi, grid, pp, report.terms.convex, report.concave)
     grad_mu = float(np.sqrt(grad_norm_sq(mu, grid)))
     if source is None:
         slack = ENERGY_SLACK_FACTOR * cfg.tol_res * max(1.0, abs(prev_total))

@@ -35,20 +35,21 @@ quadratic), so its residual at later iterates costs the pointwise beta
 terms, the divergence term and one Laplacian.  Terms built from phi itself
 give exactly the from-scratch result.
 
-Each piece of a state is computed once, and who computes it hands it on:
+Each piece of a state is computed once per step, and who computes it hands
+it on as an optional argument of the function that needs it:
 
 * ``linear_terms`` keeps lap phi, the intermediate of lap^2 phi.
 * var_convex takes beta(phi) and beta'(phi) from the terms when they are
   there (the solver's line evaluation leaves them for the iterate it moves
-  to), and records on the terms the ones it computes itself.
-* ``energy_total`` without terms takes beta(phi) from ``mixing_family``.
-* ``rhs_explicit`` and ``nonlinear_map`` take an optional ``keep`` that
-  receives var_concave(phi_old), and the terms and var_convex(phi) of the
-  state they evaluate.  The solver passes it to the evaluations of phi_n
-  and of the returned state, and the step's diagnostics read it:
-  ``energy_total`` takes its beta family and stencils from those terms,
-  and ``chemical_potential`` subtracts the kept var_concave(phi_old) from
-  the kept var_convex(phi_new) in place.
+  to), and records on the terms the ones it computes itself, and its
+  result as ``terms.convex``.
+* ``energy_total`` takes the beta family and stencils of phi from terms
+  that carry them, and without terms takes beta(phi) from
+  ``mixing_family``.
+* ``rhs_explicit`` takes var_concave(phi_old), and ``chemical_potential``
+  both variational derivatives.  The solver computes var_concave(phi_n)
+  and builds the terms of the state it returns, and hands both to the
+  step's diagnostics (see ``fchsim.solver.SolveReport``).
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class LinearTerms:
     The other fields are pieces of phi that are known when they are not
     None: ``lap`` is lap phi, kept by ``linear_terms``; ``beta`` and
     ``beta_prime`` are beta(phi) and beta'(phi), which var_convex takes
-    from here and records here.  Whoever moves the terms to another state
+    from here and records here; ``convex`` is var_convex(phi), which
+    var_convex records here.  Whoever moves the terms to another state
     must set or drop them.
     """
 
@@ -126,19 +128,6 @@ class LinearTerms:
     lap: np.ndarray | None = None
     beta: np.ndarray | None = None
     beta_prime: np.ndarray | None = None
-
-
-@dataclass
-class _Kept:
-    """What the evaluations of one step keep for its diagnostics.
-
-    ``concave`` is var_concave(phi_old), from ``rhs_explicit``; ``terms``
-    and ``convex`` are the LinearTerms (with lap, beta and beta_prime) and
-    var_convex of the state ``nonlinear_map`` last evaluated.
-    """
-
-    concave: np.ndarray | None = None
-    terms: LinearTerms | None = None
     convex: np.ndarray | None = None
 
 
@@ -210,7 +199,8 @@ def var_convex(
 
     ``terms`` may carry the LinearTerms of phi; they are built from phi when
     not given.  beta(phi) and beta'(phi) are taken from the terms when they
-    are there; otherwise they are computed and recorded on the terms.
+    are there; otherwise they are computed and recorded on the terms.  The
+    result is recorded on the terms as ``convex``.
     """
     require_admissible(phi, "variational derivative argument")
     if terms is None:
@@ -232,6 +222,7 @@ def var_convex(
         mixed -= div
     mixed *= pp.eps**2
     out += mixed
+    terms.convex = out
     return out
 
 
@@ -251,40 +242,35 @@ def nonlinear_map(
     grid: Grid,
     pp: PhysParams,
     terms: LinearTerms | None = None,
-    *,
-    keep: _Kept | None = None,
 ) -> np.ndarray:
     """Implicit side of one step: N(phi) = phi/dt - lap var_convex(phi).
 
     ``terms`` is passed on to var_convex, which builds them from phi when
-    not given.  ``keep``, when given, receives those terms and
-    var_convex(phi).
+    not given and records var_convex(phi) on them.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    if terms is None:
-        terms = linear_terms(phi, grid)
-    convex = var_convex(phi, grid, pp, terms)
-    if keep is not None:
-        keep.terms, keep.convex = terms, convex
-    return phi / dt - laplacian(convex, grid)
+    return phi / dt - laplacian(var_convex(phi, grid, pp, terms), grid)
 
 
 def rhs_explicit(
-    phi_old: np.ndarray, dt: float, grid: Grid, pp: PhysParams, *, keep: _Kept | None = None
+    phi_old: np.ndarray,
+    dt: float,
+    grid: Grid,
+    pp: PhysParams,
+    concave: np.ndarray | None = None,
 ) -> np.ndarray:
     """Explicit side of one step: f = phi_old/dt - lap var_concave(phi_old).
 
     Defined so that solving N(phi_new) = f reproduces the semi-implicit
     scheme with mu = var_convex(phi_new) - var_concave(phi_old); the mean of
     f equals mean(phi_old)/dt since the Laplacian term is mean-free.
-    ``keep``, when given, receives var_concave(phi_old).
+    ``concave`` may carry var_concave(phi_old), as the solver computes it.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    concave = var_concave(phi_old, grid, pp)
-    if keep is not None:
-        keep.concave = concave
+    if concave is None:
+        concave = var_concave(phi_old, grid, pp)
     return phi_old / dt - laplacian(concave, grid)
 
 
@@ -299,7 +285,7 @@ def chemical_potential(
     """Chemical potential of the semi-implicit step joining the two states.
 
     ``convex`` and ``concave`` may carry var_convex(phi_new) and
-    var_concave(phi_old), as the step's solve keeps them; the result is
+    var_concave(phi_old), as the step's solve returns them; the result is
     then taken in place in ``convex``.
     """
     if convex is None:

@@ -71,10 +71,6 @@ class Grid:
     def square(cls, n: int, length: float = 1.0) -> "Grid":
         return cls((n, n), (length, length))
 
-    @classmethod
-    def line(cls, n: int, length: float = 1.0) -> "Grid":
-        return cls((n,), (length,))
-
     @property
     def ndim(self) -> int:
         return len(self.shape)
@@ -99,12 +95,6 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, shaped like a field."""
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
-    def full(self, value: float) -> np.ndarray:
-        return np.full(self.shape, float(value))
 
 
 def _check_same_grid(f: np.ndarray, g: np.ndarray, grid: Grid) -> None:

@@ -61,22 +61,24 @@ kernels of ``potential.beta`` and ``beta_prime``; when the step taken is
 the last point evaluated (nearly always), ``advance`` hands them to the
 terms, and the next residual takes them instead of computing them.
 The moved terms drift from a rebuild by round-off, so only a residual from
-scratch may end a solve: when the carried residual meets the tolerance,
-N(phi) is recomputed without the state, and only that residual can stop the
-iteration and be reported.  If it misses, the iteration goes on from the
-terms that residual built.
+scratch may end a solve: when the carried residual meets the tolerance, the
+terms are built again from phi and N(phi) is recomputed on them, and only
+that residual can stop the iteration and be reported.  If it misses, the
+iteration goes on from those terms.
 
 The first objective of a solve allocates its fields (15 in 2D); each later
 one takes over the fields of the spent one, in the same roles.  The beta pair
 the spent objective handed to the terms is among them: the next residual has
 read it by the time the next objective is built, and that objective drops it
-from the terms.  The solve lets go of the last objective before the residual
-from scratch runs, so its fields are freed.
+from the terms, with the residual's var_convex.  The solve lets go of the
+last objective before the residual from scratch runs, so its fields are
+freed.
 
-The solve keeps what the step's diagnostics need (``SolveReport.kept``):
-var_concave(phi_n) from ``rhs_explicit``, and the LinearTerms (with lap phi,
-beta and beta') and var_convex of the returned state from the residual
-that ended the solve, which is the first one when the solve ends there.
+The solve returns what the step's diagnostics need: var_concave(phi_n),
+which it computes and hands to ``rhs_explicit``, and the terms of the
+returned state, built from it and carrying lap phi, beta, beta' and
+var_convex from the residual that ended the solve (``SolveReport.terms``
+and ``SolveReport.concave``).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from numbers import Integral
 import numpy as np
 
 from .grid import Grid, SpectralWorkspace, _dot, cell_avg, face_avg, face_diff, laplacian
-from .energy import LinearTerms, _Kept, linear_terms, nonlinear_map, rhs_explicit
+from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit, var_concave
 from .potential import PhysParams, PotentialDomainError, admissible, require_admissible
 from .potential import _beta, _beta_prime
 
@@ -167,10 +169,10 @@ class SolveReport:
     direction z_k (the first one included); ``ls_exhausted`` counts the line
     searches that ran out of their evaluation budget inside a valid bracket
     and took the best point seen instead of a root within ``ls_tol``.
-    ``kept`` holds what the solve computed that the step's diagnostics
-    reuse: var_concave(phi_n), and the LinearTerms (with lap, beta and
-    beta_prime) and var_convex of the returned state, from the residual
-    that ended the solve.
+    ``terms`` and ``concave`` hold what the solve computed that the step's
+    diagnostics reuse: the LinearTerms of the returned state, built from it,
+    with lap, beta, beta_prime and convex set by the residual that ended the
+    solve, and var_concave(phi_n).
     """
 
     iterations: int
@@ -179,7 +181,8 @@ class SolveReport:
     margin: float
     restarts: int
     ls_exhausted: int
-    kept: _Kept | None = field(default=None, repr=False, compare=False)
+    terms: LinearTerms = field(repr=False, compare=False)
+    concave: np.ndarray = field(repr=False, compare=False)
 
 
 def precond_symbol(
@@ -253,10 +256,10 @@ class LineObjective:
     round-off of the value last returned: 16 eps_machine times the summed
     magnitudes of the terms it adds up.
 
-    Building the objective drops the beta pair of ``terms``.  Its fields
-    (15 in 2D) are allocated, or taken over from the private ``_spent``: a
-    spent objective on the same grid, whose fields nothing reads any more
-    but the pair it handed to ``terms``.
+    Building the objective drops the beta pair and var_convex of ``terms``.
+    Its fields (15 in 2D) are allocated, or taken over from the private
+    ``_spent``: a spent objective on the same grid, whose fields nothing
+    reads any more but the pair it handed to ``terms``.
     """
 
     def __init__(
@@ -329,8 +332,9 @@ class LineObjective:
         self._vol = vol
         self.evals = 0
         self.floor = 0.0
-        # a pair a spent objective handed to the terms is this one's scratch now
-        terms.beta = terms.beta_prime = None
+        # a pair a spent objective handed to the terms is this one's scratch
+        # now, and var_convex of phi is read by no one after the residual
+        terms.beta = terms.beta_prime = terms.convex = None
 
     def __call__(self, alpha: float) -> float:
         pp = self.pp
@@ -531,15 +535,24 @@ def psd_solve(
     perturbs N(phi) by that much, so no float64 iterate can do better when
     the sixth-order symbol is large.  Residual content at that level sits in
     the stiffest modes and moves the state by a vanishing amount.
+
+    ``phi_n``, ``phi_init`` and ``source`` must have the grid's shape, and
+    ``ws`` must be built on ``grid``; otherwise a ValueError names the
+    argument.
     """
+    for name, arr in (("phi_n", phi_n), ("phi_init", phi_init), ("source", source)):
+        if arr is not None and np.shape(arr) != grid.shape:
+            raise ValueError(f"{name} has shape {np.shape(arr)}, not the grid's {grid.shape}")
+    if ws.grid != grid:
+        raise ValueError(f"ws is built on {ws.grid}, not on the solve's {grid}")
     require_admissible(phi_n, "previous step state")
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
 
-    kept = _Kept()
-    f = rhs_explicit(phi_n, dt, grid, pp, keep=kept)
+    concave = var_concave(phi_n, grid, pp)
+    f = rhs_explicit(phi_n, dt, grid, pp, concave)
     if source is not None:
-        f = f + source
+        f += source
     vol = grid.cell_volume
     f_norm = math.sqrt(vol * _dot(f, f))
     phi_norm = math.sqrt(vol * _dot(phi_n, phi_n))
@@ -564,21 +577,20 @@ def psd_solve(
     d = r_prev = g = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
-        # Terms built from phi (it == 0) give the from-scratch residual, and
-        # its pieces are kept in case it ends the solve.
-        r = f - nonlinear_map(phi, dt, grid, pp, terms, keep=kept if it == 0 else None)
+        # Terms built from phi (it == 0) give the from-scratch residual.
+        r = f - nonlinear_map(phi, dt, grid, pp, terms)
         res = math.sqrt(vol * _dot(r, r))
         if res <= tol and it > 0:
             # Carried terms drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, go on from its terms.
             g = None  # frees its fields; objectives after this allocate anew
-            r = f - nonlinear_map(phi, dt, grid, pp, keep=kept)
+            terms = linear_terms(phi, grid)
+            r = f - nonlinear_map(phi, dt, grid, pp, terms)
             res = math.sqrt(vol * _dot(r, r))
-            if res > tol:
-                terms = kept.terms
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
-            return phi, SolveReport(it, res, ls_evals, margin, restarts, exhausted, kept)
+            report = SolveReport(it, res, ls_evals, margin, restarts, exhausted, terms, concave)
+            return phi, report
         if it == cfg.max_iter:
             raise SolverDivergedError(
                 f"residual {res:.3e} > tolerance {tol:.3e} after {it} iterations",

@@ -127,7 +127,7 @@ class TestSnapshots:
     def test_truncated_payload(self, tmp_path):
         g = Grid.square(4)
         path = tmp_path / "f.snap"
-        write_snapshot(path, g.zeros(), g)
+        write_snapshot(path, np.zeros(g.shape), g)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(SnapshotFormatError):
@@ -397,7 +397,7 @@ class TestCommands:
     def test_inspect(self, tmp_path, capsys):
         g = Grid.square(4)
         path = tmp_path / "f.snap"
-        write_snapshot(path, g.full(0.25), g, time=2.0, step=3)
+        write_snapshot(path, np.full(g.shape, 0.25), g, time=2.0, step=3)
         assert cmd_inspect(path) == 0
         outp = capsys.readouterr().out
         assert "shape (4, 4)" in outp

@@ -68,7 +68,7 @@ class TestStep:
     def test_constant_state_unchanged(self):
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
-        phi = g.full(0.25)
+        phi = np.full(g.shape, 0.25)
         phi1, rec = step(phi, 0.01, g, PP, CFG, ws)
         assert np.array_equal(phi1, phi)
         assert rec.psd_iters <= 1
@@ -109,7 +109,7 @@ class TestStep:
 
 
 # 1D, non-square 2D and odd-n 2D, each at most 16 cells per axis
-PROPERTY_GRIDS = (Grid.line(16), Grid((12, 16), (1.0, 1.5)), Grid.square(15))
+PROPERTY_GRIDS = (Grid((16,), (1.0,)), Grid((12, 16), (1.0, 1.5)), Grid.square(15))
 
 
 def _field(grid: Grid, bound: float):
@@ -219,7 +219,7 @@ class TestAdvanceFixed:
 
         def source_fn(t):
             times.append(t)
-            return g.full(0.0)
+            return np.full(g.shape, 0.0)
 
         records, _ = advance_fixed(phi, dt, n, g, PP, CFG, ws, t0=t0, source_fn=source_fn)
         assert times == exact
@@ -249,7 +249,7 @@ class TestAdvanceFixed:
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
         t0, dt = 1e4, 0.011
-        records, _ = advance_fixed(g.full(0.2), dt, 5, g, PP, CFG, ws, t0=t0)
+        records, _ = advance_fixed(np.full(g.shape, 0.2), dt, 5, g, PP, CFG, ws, t0=t0)
         assert len(records) == 5
         assert records[-1].t == t0 + 5 * dt
         assert all(r.dt == dt for r in records)
@@ -266,7 +266,7 @@ class TestAdvanceFixed:
 
         monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
         with pytest.raises(SolverDivergedError):
-            advance_fixed(g.full(0.2), dt, 5, g, PP, CFG, ws, t0=t0)
+            advance_fixed(np.full(g.shape, 0.2), dt, 5, g, PP, CFG, ws, t0=t0)
         assert len(calls) == 5
 
 
@@ -393,11 +393,11 @@ class TestAdvanceAdaptive:
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
         acfg = AdaptiveConfig(dt_max=2e-3)
-        records, out = advance_adaptive(g.full(0.2), 0.01, g, PP, acfg, CFG, ws)
+        records, out = advance_adaptive(np.full(g.shape, 0.2), 0.01, g, PP, acfg, CFG, ws)
         assert all(r.dt <= 2e-3 + 1e-18 for r in records)
         # both monitors are zero for a constant state, so dt sits at the cap
         assert records[0].dt == pytest.approx(2e-3)
-        assert np.array_equal(out, g.full(0.2))
+        assert np.array_equal(out, np.full(g.shape, 0.2))
 
     def test_dt_never_exceeds_cap(self):
         g = Grid.square(32)
@@ -479,7 +479,7 @@ class TestAdvanceAdaptive:
         ws = SpectralWorkspace(g)
         t_end = 217 * 0.007 + excess
         acfg = AdaptiveConfig(dt_max=0.007)
-        records, _ = advance_adaptive(g.full(0.2), t_end, g, PP, acfg, CFG, ws)
+        records, _ = advance_adaptive(np.full(g.shape, 0.2), t_end, g, PP, acfg, CFG, ws)
         assert len(records) == 217
         assert records[-1].t == t_end
 
@@ -490,7 +490,7 @@ class TestAdvanceAdaptive:
         ws = SpectralWorkspace(g)
         t_end = 60 * 2e-4
         acfg = AdaptiveConfig(dt_max=2e-4)
-        records, _ = advance_adaptive(g.full(0.2), t_end, g, PP, acfg, CFG, ws)
+        records, _ = advance_adaptive(np.full(g.shape, 0.2), t_end, g, PP, acfg, CFG, ws)
         assert len(records) == 60
         assert all(r.dt == 2e-4 for r in records)
         assert records[-1].t == t_end
@@ -611,7 +611,9 @@ class TestEachStateEvaluatedOnce:
         monkeypatch.setattr(fchsim.energy, "linear_terms", linear_terms)
         monkeypatch.setattr(fchsim.solver, "linear_terms", linear_terms)
         monkeypatch.setattr(fchsim.energy, "var_convex", var_convex)
-        monkeypatch.setattr(fchsim.energy, "var_concave", count("concave", real_concave))
+        concave = count("concave", real_concave)
+        monkeypatch.setattr(fchsim.energy, "var_concave", concave)
+        monkeypatch.setattr(fchsim.solver, "var_concave", concave)
         monkeypatch.setattr(fchsim.energy, "beta", count("beta", real_beta))
         monkeypatch.setattr(fchsim.dynamics, "chemical_potential", count("mu", real_mu))
         monkeypatch.setattr(fchsim.dynamics, "step", step)

@@ -30,14 +30,14 @@ E_CONST_HALF = 0.1089000294335579722644208034240355446329
 class TestEnergyValues:
     def test_zero_field(self):
         g = Grid.square(8)
-        eb = energy_total(g.zeros(), g, PP)
+        eb = energy_total(np.zeros(g.shape), g, PP)
         assert eb.total == eb.convex == eb.concave == 0.0
         assert eb.cahn_hilliard == 0.0
         assert eb.willmore == 0.0
 
     def test_constant_half_closed_form(self):
         g = Grid.square(8)
-        eb = energy_total(g.full(0.5), g, PP)
+        eb = energy_total(np.full(g.shape, 0.5), g, PP)
         ln3 = math.log(3.0)
         expected = 0.5 * ln3**2 + 4.875 * 0.25 - 1.5 * ln3 - 0.25 * B_HALF
         assert eb.total == pytest.approx(expected, rel=1e-12)
@@ -64,7 +64,7 @@ class TestEnergyValues:
     def test_rejects_inadmissible(self):
         g = Grid.square(4)
         with pytest.raises(PotentialDomainError):
-            energy_total(g.full(1.0), g, PP)
+            energy_total(np.full(g.shape, 1.0), g, PP)
 
 
 class TestConvexity:
@@ -96,12 +96,12 @@ class TestConvexity:
 class TestVariationalDerivatives:
     def test_var_convex_zero(self):
         g = Grid.square(6)
-        assert np.all(var_convex(g.zeros(), g, PP) == 0.0)
+        assert np.all(var_convex(np.zeros(g.shape), g, PP) == 0.0)
 
     def test_var_convex_constant(self):
         g = Grid.square(6)
         c = 0.3
-        out = var_convex(g.full(c), g, PP)
+        out = var_convex(np.full(g.shape, c), g, PP)
         b = math.log((1 + c) / (1 - c))
         b1 = 2.0 / (1 - c * c)
         expected = b * b1 + PP.lam * (PP.lam + PP.eps_p_eta) * c
@@ -110,7 +110,7 @@ class TestVariationalDerivatives:
     def test_var_concave_constant(self):
         g = Grid.square(6)
         c = -0.4
-        out = var_concave(g.full(c), g, PP)
+        out = var_concave(np.full(g.shape, c), g, PP)
         b = math.log((1 + c) / (1 - c))
         b1 = 2.0 / (1 - c * c)
         expected = PP.lam * c * b1 + (PP.lam + PP.eps_p_eta) * b
@@ -156,7 +156,7 @@ class TestSchemeMaps:
     def test_nonlinear_map_constant(self):
         g = Grid.square(6)
         c, dt = 0.2, 0.05
-        assert np.allclose(nonlinear_map(g.full(c), dt, g, PP), c / dt, rtol=1e-13)
+        assert np.allclose(nonlinear_map(np.full(g.shape, c), dt, g, PP), c / dt, rtol=1e-13)
 
     def test_nonlinear_map_mean_identity(self):
         rng = np.random.default_rng(26)
@@ -178,10 +178,10 @@ class TestSchemeMaps:
     def test_rhs_explicit_constant_fixed_point(self):
         g = Grid.square(6)
         c, dt = 0.35, 0.01
-        f = rhs_explicit(g.full(c), dt, g, PP)
+        f = rhs_explicit(np.full(g.shape, c), dt, g, PP)
         assert np.allclose(f, c / dt, rtol=1e-13)
         # constants are equilibria: N(c) = rhs(c)
-        assert np.allclose(nonlinear_map(g.full(c), dt, g, PP), f, rtol=1e-13)
+        assert np.allclose(nonlinear_map(np.full(g.shape, c), dt, g, PP), f, rtol=1e-13)
 
     def test_rhs_explicit_mean_identity(self):
         rng = np.random.default_rng(28)
@@ -195,7 +195,7 @@ class TestSchemeMaps:
     def test_chemical_potential_constant(self):
         g = Grid.square(6)
         c = 0.25
-        mu = chemical_potential(g.full(c), g.full(c), g, PP)
+        mu = chemical_potential(np.full(g.shape, c), np.full(g.shape, c), g, PP)
         b = math.log((1 + c) / (1 - c))
         b1 = 2.0 / (1 - c * c)
         expected = (
@@ -209,6 +209,6 @@ class TestSchemeMaps:
     def test_bad_dt(self):
         g = Grid.square(4)
         with pytest.raises(ValueError):
-            nonlinear_map(g.zeros(), 0.0, g, PP)
+            nonlinear_map(np.zeros(g.shape), 0.0, g, PP)
         with pytest.raises(ValueError):
-            rhs_explicit(g.zeros(), -1.0, g, PP)
+            rhs_explicit(np.zeros(g.shape), -1.0, g, PP)

@@ -26,7 +26,7 @@ from oracles import (
     roll_laplacian,
 )
 
-G4 = Grid.line(4, 1.0)
+G4 = Grid((4,), (1.0,))
 F4 = np.array([1.0, 0.0, -1.0, 0.0])
 
 
@@ -45,7 +45,7 @@ class TestGridConstruction:
         assert g == Grid((8, 4), (2.0, 1.0)) and hash(g) == hash(Grid((8, 4), (2.0, 1.0)))
 
     def test_cell_centers(self):
-        g = Grid.line(4, 1.0)
+        g = Grid((4,), (1.0,))
         assert np.allclose(g.axes()[0], [0.125, 0.375, 0.625, 0.875])
 
     @pytest.mark.parametrize(
@@ -75,14 +75,14 @@ class TestGridConstruction:
 class TestStencils:
     def test_face_diff_constant(self):
         g = Grid.square(6)
-        assert np.all(face_diff(g.full(3.7), g, 0) == 0.0)
-        assert np.all(face_diff(g.full(3.7), g, 1) == 0.0)
+        assert np.all(face_diff(np.full(g.shape, 3.7), g, 0) == 0.0)
+        assert np.all(face_diff(np.full(g.shape, 3.7), g, 1) == 0.0)
 
     def test_face_diff_hand_values(self):
         assert np.allclose(face_diff(F4, G4, 0), [-4.0, -4.0, 4.0, 4.0])
 
     def test_face_diff_ramp_wraps(self):
-        g = Grid.line(8, 1.0)
+        g = Grid((8,), (1.0,))
         ramp = np.arange(8) * g.spacing[0]
         d = face_diff(ramp, g, 0)
         assert np.allclose(d[:-1], 1.0)
@@ -93,22 +93,22 @@ class TestStencils:
 
     def test_cell_ops_on_constant(self):
         g = Grid.square(5)
-        c = g.full(-2.0)
+        c = np.full(g.shape, -2.0)
         assert np.all(cell_avg(c, g, 0) == -2.0)
         assert np.all(cell_diff(c, g, 1) == 0.0)
 
     def test_div_of_grad_is_laplacian(self):
         rng = np.random.default_rng(11)
-        for g in (Grid.line(7), Grid.square(6)):
+        for g in (Grid((7,), (1.0,)), Grid.square(6)):
             f = rng.standard_normal(g.shape)
             composed = sum(cell_diff(face_diff(f, g, a), g, a) for a in range(g.ndim))
             assert np.allclose(composed, laplacian(f, g), rtol=0, atol=1e-12)
 
 
 ROLL_GRIDS = [
-    Grid.line(2),
-    Grid.line(7),
-    Grid.line(8, 3.0),
+    Grid((2,), (1.0,)),
+    Grid((7,), (1.0,)),
+    Grid((8,), (3.0,)),
     Grid.square(2),
     Grid((2, 5), (1.0, 2.5)),
     Grid((7, 3), (0.7, 1.3)),
@@ -199,7 +199,7 @@ class TestStencilsMatchRoll:
 class TestLaplacian:
     def test_constant(self):
         g = Grid.square(8)
-        assert np.all(laplacian(g.full(4.2), g) == 0.0)
+        assert np.all(laplacian(np.full(g.shape, 4.2), g) == 0.0)
 
     def test_hand_values_1d(self):
         assert np.allclose(laplacian(F4, G4), [-32.0, 0.0, 32.0, 0.0])
@@ -210,7 +210,7 @@ class TestLaplacian:
         f = (-1.0) ** (i + j)
         assert np.allclose(laplacian(f, g), -32.0 * f)
 
-    @pytest.mark.parametrize("g", [Grid.line(8), Grid.square(8), Grid((6, 8), (2.0, 1.0))])
+    @pytest.mark.parametrize("g", [Grid((8,), (1.0,)), Grid.square(8), Grid((6, 8), (2.0, 1.0))])
     def test_against_dense_oracle(self, g):
         rng = np.random.default_rng(5)
         f = rng.standard_normal(g.shape)
@@ -228,7 +228,7 @@ class TestLaplacian:
 class TestInnerProductsAndNorms:
     def test_inner_unit(self):
         g = Grid.square(4)
-        one = g.full(1.0)
+        one = np.full(g.shape, 1.0)
         assert inner(one, one, g) == pytest.approx(1.0)
 
     def test_inner_hand_value(self):
@@ -236,7 +236,7 @@ class TestInnerProductsAndNorms:
 
     def test_inner_forms_no_product_field(self):
         g = Grid.square(64)
-        f, h = g.full(1.0), g.full(2.0)
+        f, h = np.full(g.shape, 1.0), np.full(g.shape, 2.0)
         inner(f, h, g)
         tracemalloc.start()
         try:
@@ -247,14 +247,14 @@ class TestInnerProductsAndNorms:
         assert peak < math.prod(g.shape) * 8
 
     def test_inner_grid_mismatch(self):
-        g = Grid.line(4)
+        g = Grid((4,), (1.0,))
         with pytest.raises(ValueError):
             inner(np.zeros(5), np.zeros(5), g)
 
     def test_summation_by_parts_gradient(self):
         # <psi, lap phi> = -[grad psi, grad phi]
         rng = np.random.default_rng(7)
-        for g in (Grid.line(32), Grid.square(32), Grid((16, 24), (1.0, 3.0))):
+        for g in (Grid((32,), (1.0,)), Grid.square(32), Grid((16, 24), (1.0, 3.0))):
             psi = rng.standard_normal(g.shape)
             phi = rng.standard_normal(g.shape)
             lhs = inner(psi, laplacian(phi, g), g)
@@ -276,7 +276,7 @@ class TestInnerProductsAndNorms:
 
     def test_norms_hand_values(self):
         g = Grid.square(4)
-        assert norm(g.full(1.0), g, "l2") == pytest.approx(1.0)
+        assert norm(np.full(g.shape, 1.0), g, "l2") == pytest.approx(1.0)
         assert norm(F4, G4, "l2") == pytest.approx(np.sqrt(0.5))
 
     def test_h2_from_parts(self):
@@ -294,7 +294,7 @@ class TestInnerProductsAndNorms:
 
 class TestSpectral:
     def test_sigma_basic_structure(self):
-        ws = SpectralWorkspace(Grid.line(4, 1.0))
+        ws = SpectralWorkspace(Grid((4,), (1.0,)))
         assert np.allclose(ws.sigma, [0.0, 32.0, 64.0])
 
     def test_sigma_sign_and_negation_symmetry(self):
@@ -307,7 +307,7 @@ class TestSpectral:
         for k in range(1, 12):
             assert np.array_equal(sigma[k, :], sigma[12 - k, :])
 
-    @pytest.mark.parametrize("g", [Grid.line(12), Grid.square(8), Grid((8, 12), (2.0, 1.5))])
+    @pytest.mark.parametrize("g", [Grid((12,), (1.0,)), Grid.square(8), Grid((8, 12), (2.0, 1.5))])
     def test_sigma_matches_applied_laplacian(self, g):
         # every sigma entry must equal the eigenvalue recovered by applying
         # the stencil Laplacian to the corresponding discrete Fourier mode

@@ -71,13 +71,13 @@ class TestPreconditioner:
     def test_constant_input_gives_zero(self):
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
-        d = precond_solve(g.full(7.0), 0.1, PP, CFG, ws)
+        d = precond_solve(np.full(g.shape, 7.0), 0.1, PP, CFG, ws)
         assert np.max(np.abs(d)) <= 1e-15
 
     def test_eigenvector_hand_value(self):
         # 1D n=4, r an eigenvector of -lap with sigma = 32; the symbol there is
         # 1/dt + eps^4 s^3 + eps^2 s^2 + (lam^2 + lam eps^p eta + 1) s = 2658
-        g = Grid.line(4, 1.0)
+        g = Grid((4,), (1.0,))
         ws = SpectralWorkspace(g)
         r = np.array([1.0, 0.0, -1.0, 0.0])
         d = precond_solve(r, 0.1, PP, CFG, ws)
@@ -128,7 +128,7 @@ class TestLineSearch:
     def test_zero_direction(self):
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 33)
         f = rhs_explicit(phi, dt, g, PP)
-        obj = LineObjective(phi, g.zeros(), f, dt, g, PP)
+        obj = LineObjective(phi, np.zeros(g.shape), f, dt, g, PP)
         assert line_minimize(obj, CFG) == (0.0, False)
         assert obj.evals == 0
 
@@ -149,7 +149,7 @@ class TestLineSearch:
             for fed in (False, True)
             for g, name in [
                 (Grid.square(8), "square8"),
-                (Grid.line(16), "line16"),
+                (Grid((16,), (1.0,)), "line16"),
                 (Grid((6, 8), (2.0, 1.0)), "rect6x8"),
                 (Grid.square(9), "square9"),
             ]
@@ -434,11 +434,34 @@ class TestLineSearchRule:
         assert report.line_search_evals == spent["new"] <= spent["reference"]
 
 
+def _lie_once(monkeypatch, f, g):
+    """Make the solve's second carried residual read zero.
+
+    Returns the list that receives the norm of each residual on fresh terms
+    after the first: the closing residuals, built from the iterate itself.
+    """
+    real = fchsim.solver.nonlinear_map
+    calls = {"n": 0, "carried": 0}
+    scratch = []
+
+    def lying(phi_, dt_, grid, pp, terms=None):
+        calls["n"] += 1
+        if calls["n"] > 1 and terms.lap is not None:
+            out = real(phi_, dt_, grid, pp, terms)
+            scratch.append(norm(f - out, g, "l2"))
+            return out
+        calls["carried"] += 1
+        return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms)
+
+    monkeypatch.setattr(fchsim.solver, "nonlinear_map", lying)
+    return scratch
+
+
 class TestPsdSolve:
     def test_constant_is_fixed_point(self):
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
-        phi0 = g.full(0.3)
+        phi0 = np.full(g.shape, 0.3)
         phi1, report = psd_solve(phi0, 0.05, g, PP, CFG, ws)
         assert report.iterations <= 1
         assert np.array_equal(phi1, phi0)
@@ -490,15 +513,16 @@ class TestPsdSolve:
         carried = []
         real = fchsim.solver.nonlinear_map
 
-        def spy(phi, dt, grid, pp, terms=None, keep=None):
+        def spy(phi, dt, grid, pp, terms=None):
             if terms is not None:
                 carried.append((phi.copy(), terms.bilap.copy(), [a.copy() for a in terms.dphi],
                                 terms.gsq.copy()))
-            return real(phi, dt, grid, pp, terms, keep=keep)
+            return real(phi, dt, grid, pp, terms)
 
         monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
         _, report = psd_solve(init_spinodal(g, 3), 2e-4, g, pp, cfg, SpectralWorkspace(g))
-        assert report.iterations >= 5 and len(carried) == report.iterations + 1
+        # one residual per iteration, and the closing one on fresh terms
+        assert report.iterations >= 5 and len(carried) == report.iterations + 2
         for it, (phi, bilap, dphi, gsq) in enumerate(carried):
             fresh = linear_terms(phi, g)
             bound = 50 * np.finfo(float).eps * max(it, 1)
@@ -511,23 +535,12 @@ class TestPsdSolve:
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 46)
         f = rhs_explicit(phi, dt, g, PP)
         tol = CFG.tol_res * max(1.0, norm(f, g, "l2"))
-        real = fchsim.solver.nonlinear_map
-        calls = {"carried": 0, "scratch": []}
-
-        def lying(phi_, dt_, grid, pp, terms=None, keep=None):
-            if terms is None:
-                out = real(phi_, dt_, grid, pp, keep=keep)
-                calls["scratch"].append(norm(f - out, g, "l2"))
-                return out
-            calls["carried"] += 1
-            return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms, keep=keep)
-
-        monkeypatch.setattr(fchsim.solver, "nonlinear_map", lying)
+        scratch = _lie_once(monkeypatch, f, g)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
-        assert calls["scratch"][0] > tol
+        assert scratch[0] > tol
         assert report.iterations > 1
-        assert calls["scratch"][-1] <= tol and report.residual == calls["scratch"][-1]
-        assert norm(real(phi1, dt, g, PP) - f, g, "l2") <= tol
+        assert scratch[-1] <= tol and report.residual == scratch[-1]
+        assert norm(nonlinear_map(phi1, dt, g, PP) - f, g, "l2") <= tol
 
     def test_scheme_residual_identity(self):
         # the solved step satisfies (phi1 - phi0)/dt = lap mu to the tolerance
@@ -655,10 +668,10 @@ class TestPsdSolve:
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
         with pytest.raises(PotentialDomainError):
-            psd_solve(g.full(1.0), 0.01, g, PP, CFG, ws)
+            psd_solve(np.full(g.shape, 1.0), 0.01, g, PP, CFG, ws)
 
     def test_one_dimensional_solve(self):
-        g = Grid.line(16)
+        g = Grid((16,), (1.0,))
         ws = SpectralWorkspace(g)
         x = g.axes()[0]
         phi = 0.4 * np.sin(2 * np.pi * x) + 0.1
@@ -667,6 +680,42 @@ class TestPsdSolve:
         res = norm(nonlinear_map(phi1, 0.02, g, PP) - f, g, "l2")
         assert res <= CFG.tol_res * max(1.0, norm(f, g, "l2")) * (1 + 1e-12)
         assert abs(phi1.mean() - phi.mean()) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["phi_n", "phi_init", "source", "ws"])
+    def test_rejects_an_input_off_the_grid(self, name):
+        g, ws, phi, rng, dt = make_instance(Grid.square(32), 58)
+        small = Grid.square(16)
+        bad = {"phi_n": np.zeros(small.shape), "phi_init": phi[:1], "source": np.zeros(32),
+               "ws": SpectralWorkspace(small)}
+        args = {"phi_n": phi, "ws": ws, name: bad[name]}
+        with pytest.raises(ValueError, match=name):
+            psd_solve(dt=dt, grid=g, pp=PP, cfg=CFG, **args)
+
+    @pytest.mark.parametrize("end", ["first", "closing", "missed"])
+    def test_report_carries_the_pieces_of_both_states(self, end, monkeypatch):
+        # whichever residual ends the solve, the report holds the pieces of
+        # the returned state and of phi_n with the bits of a rebuild
+        from fchsim.energy import var_convex
+
+        g, ws, phi_n, rng, dt = make_instance(Grid.square(16), 46)
+        f = rhs_explicit(phi_n, dt, g, PP)
+        phi_init = None
+        if end == "first":
+            phi_init, _ = psd_solve(phi_n, dt, g, PP, CFG, ws)
+        if end == "missed":
+            scratch = _lie_once(monkeypatch, f, g)
+        phi1, report = psd_solve(phi_n, dt, g, PP, CFG, ws, phi_init=phi_init)
+        assert (report.iterations == 0) == (end == "first")
+        if end == "missed":
+            assert scratch[0] > CFG.tol_res * max(1.0, norm(f, g, "l2")) >= scratch[-1]
+        fresh, terms = linear_terms(phi1, g), report.terms
+        pairs = [(terms.bilap, fresh.bilap), (terms.gsq, fresh.gsq), (terms.lap, fresh.lap),
+                 *zip(terms.dphi, fresh.dphi), (terms.beta, beta(phi1)),
+                 (terms.beta_prime, beta_prime(phi1)), (terms.convex, var_convex(phi1, g, PP)),
+                 (report.concave, var_concave(phi_n, g, PP))]
+        assert len(terms.dphi) == g.ndim
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestObjectivePool:
@@ -754,12 +803,12 @@ class TestObjectivePool:
         real = fchsim.solver.nonlinear_map
         handed = []
 
-        def spy(phi, dt, grid, pp, terms=None, keep=None):
+        def spy(phi, dt, grid, pp, terms=None):
             if terms is not None and terms.beta is not None:
                 assert terms.beta.tobytes() == beta(phi).tobytes()
                 assert terms.beta_prime.tobytes() == beta_prime(phi).tobytes()
                 handed.append((terms.beta, terms.beta_prime))
-            return real(phi, dt, grid, pp, terms, keep=keep)
+            return real(phi, dt, grid, pp, terms)
 
         monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
         _, report = psd_solve(phi, dt, g, pp, cfg, SpectralWorkspace(g))
