@@ -14,9 +14,9 @@ Each command resolves its configuration once, filling every unset key it
 reads from the scenario preset, the solver/adaptive defaults and its own
 defaults.  The run is built from that, and ``manifest.txt`` records it under
 a line naming the fchsim, Python and numpy versions, with ``run.out`` set to
-the directory written, so ``--config manifest.txt`` reproduces the run.  The
-output directory is ``--out`` if given, else ``run.out``, else ``out``, and
-may not be empty.
+the directory written, so ``--config manifest.txt`` reproduces the run at
+the same BLAS thread count.  The output directory is ``--out`` if given,
+else ``run.out``, else ``out``, and may not be empty.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """

@@ -54,7 +54,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid, SpectralWorkspace, grad_norm_sq, norm
-from .energy import chemical_potential, energy_total
+from .energy import chemical_potential, energy_total, var_concave
 from .potential import PhysParams, PotentialDomainError
 from .solver import LineSearchError, SolverConfig, SolverDivergedError, psd_solve
 
@@ -149,17 +149,18 @@ def step(
     already has it; ``mass_ref`` is the conserved mean (defaults to the
     current one); ``phi_init`` seeds the solver iteration.
 
-    The new state's energy and the chemical potential mu =
-    var_convex(phi_new) - var_concave(phi) are built from what the solve
-    returns (see ``SolveReport``): its beta family, stencils and both
-    variational derivatives are not computed again.
+    var_concave(phi) is computed once, here, for both the solve's right-hand
+    side and mu = var_convex(phi_new) - var_concave(phi).  The new state's
+    energy and var_convex(phi_new) come from the terms the solve returns
+    (see ``SolveReport``): its stencils and beta' are not computed again.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
         prev_total = energy_total(phi, grid, pp).total
 
+    concave = var_concave(phi, grid, pp)
     phi_new, report = psd_solve(
-        phi, dt, grid, pp, cfg, ws, source=source, phi_init=phi_init
+        phi, dt, grid, pp, cfg, ws, source=source, phi_init=phi_init, concave=concave
     )
 
     phi_min, phi_max = float(np.min(phi_new)), float(np.max(phi_new))
@@ -175,7 +176,7 @@ def step(
         )
 
     eb = energy_total(phi_new, grid, pp, report.terms)
-    mu = chemical_potential(phi_new, phi, grid, pp, report.terms.convex, report.concave)
+    mu = chemical_potential(phi_new, phi, grid, pp, report.terms.convex, concave)
     grad_mu = float(np.sqrt(grad_norm_sq(mu, grid)))
     if source is None:
         slack = ENERGY_SLACK_FACTOR * cfg.tol_res * max(1.0, abs(prev_total))

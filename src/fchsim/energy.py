@@ -28,8 +28,9 @@ is two Laplacian applications, never a fused stencil.
 
 The stencil terms of var_convex that do not involve beta are its LinearTerms:
 lap^2 phi, the face differences D_axis phi and gsq = sum_axis avg(|D_axis phi|^2).
-var_convex and nonlinear_map build them from phi unless the caller passes
-them in.  The solver does: it builds them once per solve and moves them
+``linear_terms`` is the one place they are built from phi; var_convex,
+nonlinear_map and energy_total call it unless the caller passes terms in.
+The solver does: it builds them once per solve and moves them
 along each step phi + alpha d (the first two are linear in phi, gsq is
 quadratic), so its residual at later iterates costs the pointwise beta
 terms, the divergence term and one Laplacian.  Terms built from phi itself
@@ -43,13 +44,14 @@ it on as an optional argument of the function that needs it:
   there (the solver's line evaluation leaves them for the iterate it moves
   to), and records on the terms the ones it computes itself, and its
   result as ``terms.convex``.
-* ``energy_total`` takes the beta family and stencils of phi from terms
-  that carry them, and without terms takes beta(phi) from
-  ``mixing_family``.
+* ``energy_total`` reads lap phi, D phi and gsq from the terms, and
+  beta'(phi) when they carry it; beta(phi) always comes from
+  ``mixing_family``, which takes the logarithms B needs anyway.
 * ``rhs_explicit`` takes var_concave(phi_old), and ``chemical_potential``
-  both variational derivatives.  The solver computes var_concave(phi_n)
-  and builds the terms of the state it returns, and hands both to the
-  step's diagnostics (see ``fchsim.solver.SolveReport``).
+  both variational derivatives.  The step computes var_concave(phi_n) and
+  hands it to the solve and to ``chemical_potential``; the solve builds
+  the terms of the state it returns and hands them to the step's
+  diagnostics (see ``fchsim.solver.SolveReport``).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ class LinearTerms:
     None: ``lap`` is lap phi, kept by ``linear_terms``; ``beta`` and
     ``beta_prime`` are beta(phi) and beta'(phi), which var_convex takes
     from here and records here; ``convex`` is var_convex(phi), which
-    var_convex records here.  Whoever moves the terms to another state
-    must set or drop them.
+    var_convex records here.  energy_total reads ``lap`` and ``beta_prime``.
+    Whoever moves the terms to another state must set or drop them.
     """
 
     bilap: np.ndarray
@@ -135,15 +137,11 @@ def linear_terms(phi: np.ndarray, grid: Grid) -> LinearTerms:
     """Build the LinearTerms of phi from its stencils, keeping lap phi."""
     dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
     lap = laplacian(phi, grid)
-    return LinearTerms(laplacian(lap, grid), dphi, _avg_sq(dphi, grid), lap)
-
-
-def _avg_sq(faces: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Cell field sum_axis avg(faces[axis]^2)."""
-    out = cell_avg(faces[0] * faces[0], grid, 0)
+    bilap = laplacian(lap, grid)
+    gsq = cell_avg(dphi[0] * dphi[0], grid, 0)
     for a in range(1, grid.ndim):
-        out += cell_avg(faces[a] * faces[a], grid, a)
-    return out
+        gsq += cell_avg(dphi[a] * dphi[a], grid, a)
+    return LinearTerms(bilap, dphi, gsq, lap)
 
 
 def energy_total(
@@ -151,20 +149,17 @@ def energy_total(
 ) -> EnergyBreakdown:
     """Full energy with its split and the CH / Willmore diagnostics.
 
-    ``terms`` may carry the LinearTerms of phi with ``lap``, ``beta`` and
-    ``beta_prime`` set, as an evaluation of phi from scratch leaves them;
-    the beta family, lap phi, D phi and avg(|D phi|^2) are then taken from
-    them instead of being computed again.
+    ``terms`` may carry the LinearTerms of phi with ``lap`` set, as
+    ``linear_terms`` builds them; they are built from phi when not given.
+    lap phi, D phi and avg(|D phi|^2) are read from them, and beta'(phi)
+    too when they carry it.  beta(phi) always comes from ``mixing_family``.
     """
     require_admissible(phi, "energy argument")
     B, F, b = mixing_family(phi, pp)
     if terms is None:
-        dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-        b1 = beta_prime(phi)
-        lap, avg_sq = laplacian(phi, grid), _avg_sq(dphi, grid)
-    else:
-        dphi, b, b1 = terms.dphi, terms.beta, terms.beta_prime
-        lap, avg_sq = terms.lap, terms.gsq
+        terms = linear_terms(phi, grid)
+    b1 = terms.beta_prime if terms.beta_prime is not None else beta_prime(phi)
+    dphi, lap, avg_sq = terms.dphi, terms.lap, terms.gsq
     vol = grid.cell_volume
     gsq = vol * sum(_dot(da, da) for da in dphi)
 

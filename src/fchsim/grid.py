@@ -68,8 +68,8 @@ class Grid:
             raise ValueError(f"domain lengths must be positive and finite, got {lengths}")
 
     @classmethod
-    def square(cls, n: int, length: float = 1.0) -> "Grid":
-        return cls((n, n), (length, length))
+    def square(cls, n: int) -> "Grid":
+        return cls((n, n), (1.0, 1.0))
 
     @property
     def ndim(self) -> int:

@@ -74,11 +74,11 @@ from the terms, with the residual's var_convex.  The solve lets go of the
 last objective before the residual from scratch runs, so its fields are
 freed.
 
-The solve returns what the step's diagnostics need: var_concave(phi_n),
-which it computes and hands to ``rhs_explicit``, and the terms of the
-returned state, built from it and carrying lap phi, beta, beta' and
-var_convex from the residual that ended the solve (``SolveReport.terms``
-and ``SolveReport.concave``).
+The solve may be handed var_concave(phi_n), which it passes on to
+``rhs_explicit``; the step does so, since its chemical potential needs the
+same field.  The solve returns the terms of the returned state, built from
+it and carrying lap phi, beta, beta' and var_convex from the residual that
+ended the solve (``SolveReport.terms``), for the step's diagnostics.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ from numbers import Integral
 import numpy as np
 
 from .grid import Grid, SpectralWorkspace, _dot, cell_avg, face_avg, face_diff, laplacian
-from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit, var_concave
+from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit
 from .potential import PhysParams, PotentialDomainError, admissible, require_admissible
 from .potential import _beta, _beta_prime
 
@@ -169,10 +169,9 @@ class SolveReport:
     direction z_k (the first one included); ``ls_exhausted`` counts the line
     searches that ran out of their evaluation budget inside a valid bracket
     and took the best point seen instead of a root within ``ls_tol``.
-    ``terms`` and ``concave`` hold what the solve computed that the step's
-    diagnostics reuse: the LinearTerms of the returned state, built from it,
-    with lap, beta, beta_prime and convex set by the residual that ended the
-    solve, and var_concave(phi_n).
+    ``terms`` holds what the solve computed of the returned state that the
+    step's diagnostics reuse: its LinearTerms, built from it, with lap,
+    beta, beta_prime and convex set by the residual that ended the solve.
     """
 
     iterations: int
@@ -182,7 +181,6 @@ class SolveReport:
     restarts: int
     ls_exhausted: int
     terms: LinearTerms = field(repr=False, compare=False)
-    concave: np.ndarray = field(repr=False, compare=False)
 
 
 def precond_symbol(
@@ -510,6 +508,7 @@ def psd_solve(
     ws: SpectralWorkspace,
     source: np.ndarray | None = None,
     phi_init: np.ndarray | None = None,
+    concave: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Advance one semi-implicit step by preconditioned nonlinear CG.
 
@@ -536,11 +535,13 @@ def psd_solve(
     the sixth-order symbol is large.  Residual content at that level sits in
     the stiffest modes and moves the state by a vanishing amount.
 
-    ``phi_n``, ``phi_init`` and ``source`` must have the grid's shape, and
-    ``ws`` must be built on ``grid``; otherwise a ValueError names the
-    argument.
+    ``concave`` may carry var_concave(phi_n), as the step computes it.
+    ``phi_n``, ``phi_init``, ``source`` and ``concave`` must have the grid's
+    shape, and ``ws`` must be built on ``grid``; otherwise a ValueError
+    names the argument.
     """
-    for name, arr in (("phi_n", phi_n), ("phi_init", phi_init), ("source", source)):
+    for name, arr in (("phi_n", phi_n), ("phi_init", phi_init), ("source", source),
+                      ("concave", concave)):
         if arr is not None and np.shape(arr) != grid.shape:
             raise ValueError(f"{name} has shape {np.shape(arr)}, not the grid's {grid.shape}")
     if ws.grid != grid:
@@ -549,7 +550,6 @@ def psd_solve(
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
 
-    concave = var_concave(phi_n, grid, pp)
     f = rhs_explicit(phi_n, dt, grid, pp, concave)
     if source is not None:
         f += source
@@ -589,7 +589,7 @@ def psd_solve(
             res = math.sqrt(vol * _dot(r, r))
         if res <= tol:
             margin = 1.0 - float(np.max(np.abs(phi)))
-            report = SolveReport(it, res, ls_evals, margin, restarts, exhausted, terms, concave)
+            report = SolveReport(it, res, ls_evals, margin, restarts, exhausted, terms)
             return phi, report
         if it == cfg.max_iter:
             raise SolverDivergedError(

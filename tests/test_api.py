@@ -75,6 +75,26 @@ def test_one_implementation_per_operator():
     assert not strays, f"operators implemented outside their home module: {strays}"
 
 
+def test_each_state_is_evaluated_in_one_place():
+    # the step computes var_concave(phi_n) and hands it to the solve, and
+    # energy_total builds its stencils only through linear_terms
+    package = Path(fchsim.__file__).parent
+    solver = ast.walk(ast.parse((package / "solver.py").read_text()))
+    named = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in solver if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    assert "var_concave" not in named
+    tree = ast.parse((package / "energy.py").read_text())
+    (body,) = [n for n in tree.body if getattr(n, "name", None) == "energy_total"]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+    }
+    stencils = {"face_diff", "laplacian", "cell_avg", "_avg_sq"}
+    assert not called & stencils, f"energy_total calls {called & stencils}"
+    assert "linear_terms" in called
+
+
 def _public_members(cls):
     """The public methods and properties a class defines; dataclass fields are data."""
     fields = getattr(cls, "__dataclass_fields__", {})

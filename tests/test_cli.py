@@ -534,6 +534,37 @@ class TestMainExitCodes:
         bad.write_bytes(b"garbage\n\x00\x01")
         assert main(["inspect", str(bad)]) == 4
 
+    @pytest.mark.parametrize(
+        "fault, cause",
+        [("ascii", "not ASCII"), ("token", "malformed header token"), ("lengths", "'lengths'")],
+    )
+    def test_corrupt_snapshot_header_is_io_error(self, tmp_path, capsys, fault, cause):
+        path = tmp_path / "f.snap"
+        write_snapshot(path, np.zeros((4, 4)), Grid.square(4))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        tokens = header.split()
+        header = {
+            "ascii": header + b" note=\xff",
+            "token": header + b" junk",
+            "lengths": b" ".join(t for t in tokens if not t.startswith(b"lengths=")),
+        }[fault]
+        path.write_bytes(header + b"\n" + payload)
+        assert main(["inspect", str(path)]) == 4
+        assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, cause",
+        [
+            (["--set", "grid.nx"], "--set needs key=value"),
+            (["--set", "scenario=meandering", "--set", "grid.nx=33"], "even x cell count"),
+        ],
+    )
+    def test_config_error_names_its_cause(self, tmp_path, capsys, settings, cause):
+        out = tmp_path / "out"
+        assert main(["run", *settings, "--set", "run.t_end=0", "--out", str(out)]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, tmp_path):
         args = [
             "run",

@@ -98,6 +98,19 @@ class TestStep:
             step(phi, 0.01, g, PP, CFG, ws, mass_ref=0.77)
         assert info.value.quantity == "mass drift"
 
+    def test_separation_assertion_fires(self, monkeypatch):
+        g, ws, phi = quick_setup()
+
+        def solve(phi_n, *args, **kwargs):
+            touching = phi_n.copy()
+            touching[0, 0] = 1.0
+            return touching, None
+
+        monkeypatch.setattr(fchsim.dynamics, "psd_solve", solve)
+        with pytest.raises(StabilityViolationError) as info:
+            step(phi, 0.01, g, PP, CFG, ws)
+        assert info.value.quantity == "sup norm of phi"
+
     def test_forced_step_skips_energy_assertion(self):
         # a strong source can push energy up; with source given this must not raise
         g = Grid.square(16)
@@ -613,7 +626,7 @@ class TestEachStateEvaluatedOnce:
         monkeypatch.setattr(fchsim.energy, "var_convex", var_convex)
         concave = count("concave", real_concave)
         monkeypatch.setattr(fchsim.energy, "var_concave", concave)
-        monkeypatch.setattr(fchsim.solver, "var_concave", concave)
+        monkeypatch.setattr(fchsim.dynamics, "var_concave", concave)
         monkeypatch.setattr(fchsim.energy, "beta", count("beta", real_beta))
         monkeypatch.setattr(fchsim.dynamics, "chemical_potential", count("mu", real_mu))
         monkeypatch.setattr(fchsim.dynamics, "step", step)

@@ -6,6 +6,7 @@ import pytest
 from fchsim.energy import (
     chemical_potential,
     energy_total,
+    linear_terms,
     nonlinear_map,
     rhs_explicit,
     var_concave,
@@ -60,6 +61,11 @@ class TestEnergyValues:
         phi = smooth_admissible_field(g, rng)
         eb = energy_total(phi, g, PP)
         assert eb.willmore == pytest.approx(eb.total + PP.eps_p_eta * eb.cahn_hilliard, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [Grid((16,), (1.0,)), Grid((12, 16), (1.0, 1.5))])
+    def test_freshly_built_terms_give_the_energy_from_scratch(self, grid):
+        phi = smooth_admissible_field(grid, np.random.default_rng(5), amplitude=0.6)
+        assert energy_total(phi, grid, PP, linear_terms(phi, grid)) == energy_total(phi, grid, PP)
 
     def test_rejects_inadmissible(self):
         g = Grid.square(4)

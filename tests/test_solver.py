@@ -681,20 +681,43 @@ class TestPsdSolve:
         assert res <= CFG.tol_res * max(1.0, norm(f, g, "l2")) * (1 + 1e-12)
         assert abs(phi1.mean() - phi.mean()) <= 1e-13
 
-    @pytest.mark.parametrize("name", ["phi_n", "phi_init", "source", "ws"])
+    @pytest.mark.parametrize("name", ["phi_n", "phi_init", "source", "ws", "concave"])
     def test_rejects_an_input_off_the_grid(self, name):
         g, ws, phi, rng, dt = make_instance(Grid.square(32), 58)
         small = Grid.square(16)
         bad = {"phi_n": np.zeros(small.shape), "phi_init": phi[:1], "source": np.zeros(32),
-               "ws": SpectralWorkspace(small)}
+               "ws": SpectralWorkspace(small), "concave": np.zeros(small.shape)}
         args = {"phi_n": phi, "ws": ws, name: bad[name]}
         with pytest.raises(ValueError, match=name):
             psd_solve(dt=dt, grid=g, pp=PP, cfg=CFG, **args)
 
+    def test_rejects_a_zero_time_step(self):
+        g, ws, phi, rng, dt = make_instance(Grid.square(8), 59)
+        with pytest.raises(ValueError, match="time step"):
+            psd_solve(phi, 0.0, g, PP, CFG, ws)
+
+    def test_stalled_line_search_diverges(self, monkeypatch):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 60)
+        monkeypatch.setattr(fchsim.solver, "line_minimize", lambda *a, **k: (0.0, False))
+        with pytest.raises(SolverDivergedError, match="stalled"):
+            psd_solve(phi, dt, g, PP, CFG, ws)
+
+    def test_handed_concave_gives_the_same_solve(self):
+        # var_concave(phi_n) handed in is what the solve would compute itself
+        g, ws, phi_n, rng, dt = make_instance(Grid.square(16), 47)
+        src = 0.1 * smooth_admissible_field(g, rng, amplitude=0.5)
+        src -= src.mean()
+        plain = psd_solve(phi_n, dt, g, PP, CFG, ws, source=src)
+        handed = psd_solve(phi_n, dt, g, PP, CFG, ws, source=src,
+                           concave=var_concave(phi_n, g, PP))
+        assert handed[0].tobytes() == plain[0].tobytes()
+        assert handed[1] == plain[1]
+        assert handed[1].iterations > 0
+
     @pytest.mark.parametrize("end", ["first", "closing", "missed"])
     def test_report_carries_the_pieces_of_both_states(self, end, monkeypatch):
         # whichever residual ends the solve, the report holds the pieces of
-        # the returned state and of phi_n with the bits of a rebuild
+        # the returned state with the bits of a rebuild
         from fchsim.energy import var_convex
 
         g, ws, phi_n, rng, dt = make_instance(Grid.square(16), 46)
@@ -711,8 +734,7 @@ class TestPsdSolve:
         fresh, terms = linear_terms(phi1, g), report.terms
         pairs = [(terms.bilap, fresh.bilap), (terms.gsq, fresh.gsq), (terms.lap, fresh.lap),
                  *zip(terms.dphi, fresh.dphi), (terms.beta, beta(phi1)),
-                 (terms.beta_prime, beta_prime(phi1)), (terms.convex, var_convex(phi1, g, PP)),
-                 (report.concave, var_concave(phi_n, g, PP))]
+                 (terms.beta_prime, beta_prime(phi1)), (terms.convex, var_convex(phi1, g, PP))]
         assert len(terms.dphi) == g.ndim
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
