@@ -192,10 +192,11 @@ def _resolve(cfg: RunConfig, command: str = "run") -> RunConfig:
 
 
 def _make_outdir(resolved: RunConfig) -> Path:
-    """Create the directory ``run.out`` and record it as written."""
+    """Create the directory ``run.out``, record it as written, and write the manifest."""
     outdir = Path(resolved.get("run.out"))
     outdir.mkdir(parents=True, exist_ok=True)
     resolved.values["run.out"] = str(outdir)
+    write_manifest(outdir / "manifest.txt", resolved.emit())
     return outdir
 
 
@@ -245,8 +246,6 @@ def cmd_run(cfg: RunConfig) -> int:
     outdir = _make_outdir(resolved)
 
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
-
-    write_manifest(outdir / "manifest.txt", resolved.emit())
 
     snap_steps = get("run.snap_every_steps", 0)
     snap_time = get("run.snap_every_time", 0.0)
@@ -336,7 +335,6 @@ def cmd_convergence(cfg: RunConfig) -> int:
         _require_finite_symbol(SpectralWorkspace(Grid.square(n)), phys, solver)
 
     outdir = _make_outdir(resolved)
-    write_manifest(outdir / "manifest.txt", resolved.emit())
 
     rows = []
     for n in n_list:

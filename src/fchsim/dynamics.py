@@ -94,15 +94,15 @@ class AdaptiveConfig:
     dt_init: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 < self.dt_min <= self.dt_max:
-            raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
-        if not self.rate_hi > 0:
+        if not 0 < self.dt_min <= self.dt_max < math.inf:
+            raise ValueError(f"need 0 < dt_min <= dt_max < inf, got {self.dt_min}, {self.dt_max}")
+        if not 0 < self.rate_hi < math.inf:
             # every attempt above dt_min would be rejected
-            raise ValueError(f"rate_hi must be positive, got {self.rate_hi}")
-        if not self.rate_lo < self.rate_hi:
-            raise ValueError(f"need rate_lo < rate_hi, got {self.rate_lo}, {self.rate_hi}")
-        if self.dt_init is not None and not self.dt_init > 0:
-            raise ValueError(f"dt_init must be positive, got {self.dt_init}")
+            raise ValueError(f"rate_hi must be positive and finite, got {self.rate_hi}")
+        if not -math.inf < self.rate_lo < self.rate_hi:
+            raise ValueError(f"need -inf < rate_lo < rate_hi, got {self.rate_lo}, {self.rate_hi}")
+        if self.dt_init is not None and not 0 < self.dt_init < math.inf:
+            raise ValueError(f"dt_init must be positive and finite, got {self.dt_init}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,9 @@ def step(
     already has it; ``mass_ref`` is the conserved mean (defaults to the
     current one); ``phi_init`` seeds the solver iteration.
 
-    var_concave(phi) is computed once, here, for both the solve's right-hand
-    side and mu = var_convex(phi_new) - var_concave(phi).  The new state's
-    energy and var_convex(phi_new) come from the terms the solve returns
-    (see ``SolveReport``): its stencils and beta' are not computed again.
+    The step computes var_concave(phi) and takes the new state's energy and
+    var_convex from the terms the solve returns; the ``fchsim.energy``
+    module docstring lists these hand-offs.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
@@ -176,7 +175,7 @@ def step(
         )
 
     eb = energy_total(phi_new, grid, pp, report.terms)
-    mu = chemical_potential(phi_new, phi, grid, pp, report.terms.convex, concave)
+    mu = chemical_potential(report.terms.convex, concave)
     grad_mu = float(np.sqrt(grad_norm_sq(mu, grid)))
     if source is None:
         slack = ENERGY_SLACK_FACTOR * cfg.tol_res * max(1.0, abs(prev_total))
@@ -295,12 +294,12 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
         except (SolverDivergedError, LineSearchError, PotentialDomainError):
             if at_floor:
                 raise
-            dt = max(dt_step / 2, acfg.dt_min)
-            continue
-        r_energy = abs(rec.e_fch - prev_total)
-        r_phase = norm(phi_new - phi, grid, "l2")
-
-        if max(r_energy, r_phase) > acfg.rate_hi and not at_floor:
+            rejected = True
+        else:
+            r_energy = abs(rec.e_fch - prev_total)
+            r_phase = norm(phi_new - phi, grid, "l2")
+            rejected = max(r_energy, r_phase) > acfg.rate_hi and not at_floor
+        if rejected:
             dt = max(dt_step / 2, acfg.dt_min)
             continue
 

@@ -30,28 +30,30 @@ The stencil terms of var_convex that do not involve beta are its LinearTerms:
 lap^2 phi, the face differences D_axis phi and gsq = sum_axis avg(|D_axis phi|^2).
 ``linear_terms`` is the one place they are built from phi; var_convex,
 nonlinear_map and energy_total call it unless the caller passes terms in.
-The solver does: it builds them once per solve and moves them
-along each step phi + alpha d (the first two are linear in phi, gsq is
-quadratic), so its residual at later iterates costs the pointwise beta
-terms, the divergence term and one Laplacian.  Terms built from phi itself
-give exactly the from-scratch result.
+Terms built from phi itself give exactly the from-scratch result.
 
 Each piece of a state is computed once per step, and who computes it hands
-it on as an optional argument of the function that needs it:
+it on as an optional argument of the function that needs it.  This is the
+one list of those hand-offs:
 
 * ``linear_terms`` keeps lap phi, the intermediate of lap^2 phi.
+* The solver builds the terms once per solve and moves them along each
+  step phi + alpha d (the first two are linear in phi, gsq is quadratic),
+  so its residual at later iterates costs the pointwise beta terms, the
+  divergence term and one Laplacian.  Its line evaluation leaves beta and
+  beta' on the terms for the iterate it moves to (see ``fchsim.solver``).
 * var_convex takes beta(phi) and beta'(phi) from the terms when they are
-  there (the solver's line evaluation leaves them for the iterate it moves
-  to), and records on the terms the ones it computes itself, and its
+  there, and records on the terms the ones it computes itself, and its
   result as ``terms.convex``.
 * ``energy_total`` reads lap phi, D phi and gsq from the terms, and
   beta'(phi) when they carry it; beta(phi) always comes from
   ``mixing_family``, which takes the logarithms B needs anyway.
-* ``rhs_explicit`` takes var_concave(phi_old), and ``chemical_potential``
-  both variational derivatives.  The step computes var_concave(phi_n) and
-  hands it to the solve and to ``chemical_potential``; the solve builds
-  the terms of the state it returns and hands them to the step's
-  diagnostics (see ``fchsim.solver.SolveReport``).
+* The step computes var_concave(phi_old) once and hands it to the solve,
+  for ``rhs_explicit``, and to ``chemical_potential``.
+* The solve returns the terms of the state it returns, built from that
+  state and carrying lap phi, beta, beta' and var_convex from the residual
+  that ended the solve (``SolveReport.terms``).  The step hands them to
+  ``energy_total``, and their var_convex to ``chemical_potential``.
 """
 
 from __future__ import annotations
@@ -117,11 +119,10 @@ class LinearTerms:
     move all three along a step phi + alpha d without rebuilding them.
 
     The other fields are pieces of phi that are known when they are not
-    None: ``lap`` is lap phi, kept by ``linear_terms``; ``beta`` and
-    ``beta_prime`` are beta(phi) and beta'(phi), which var_convex takes
-    from here and records here; ``convex`` is var_convex(phi), which
-    var_convex records here.  energy_total reads ``lap`` and ``beta_prime``.
-    Whoever moves the terms to another state must set or drop them.
+    None: ``lap`` is lap phi, ``beta`` and ``beta_prime`` are beta(phi) and
+    beta'(phi), and ``convex`` is var_convex(phi).  The module docstring
+    lists who sets and reads each.  Whoever moves the terms to another state
+    must set or drop them.
     """
 
     bilap: np.ndarray
@@ -260,7 +261,7 @@ def rhs_explicit(
     Defined so that solving N(phi_new) = f reproduces the semi-implicit
     scheme with mu = var_convex(phi_new) - var_concave(phi_old); the mean of
     f equals mean(phi_old)/dt since the Laplacian term is mean-free.
-    ``concave`` may carry var_concave(phi_old), as the solver computes it.
+    ``concave`` may carry var_concave(phi_old); it is computed when not given.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -269,23 +270,11 @@ def rhs_explicit(
     return phi_old / dt - laplacian(concave, grid)
 
 
-def chemical_potential(
-    phi_new: np.ndarray,
-    phi_old: np.ndarray,
-    grid: Grid,
-    pp: PhysParams,
-    convex: np.ndarray | None = None,
-    concave: np.ndarray | None = None,
-) -> np.ndarray:
-    """Chemical potential of the semi-implicit step joining the two states.
+def chemical_potential(convex: np.ndarray, concave: np.ndarray) -> np.ndarray:
+    """Chemical potential mu = var_convex(phi_new) - var_concave(phi_old) of a step.
 
-    ``convex`` and ``concave`` may carry var_convex(phi_new) and
-    var_concave(phi_old), as the step's solve returns them; the result is
-    then taken in place in ``convex``.
+    Takes the two variational derivatives, as the step has them, and
+    subtracts in place in ``convex``, which it returns.
     """
-    if convex is None:
-        convex = var_convex(phi_new, grid, pp)
-    if concave is None:
-        concave = var_concave(phi_old, grid, pp)
     convex -= concave
     return convex

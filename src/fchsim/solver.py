@@ -74,11 +74,8 @@ from the terms, with the residual's var_convex.  The solve lets go of the
 last objective before the residual from scratch runs, so its fields are
 freed.
 
-The solve may be handed var_concave(phi_n), which it passes on to
-``rhs_explicit``; the step does so, since its chemical potential needs the
-same field.  The solve returns the terms of the returned state, built from
-it and carrying lap phi, beta, beta' and var_convex from the residual that
-ended the solve (``SolveReport.terms``), for the step's diagnostics.
+What the solve takes from the step and hands back to it is listed in the
+``fchsim.energy`` module docstring.
 """
 
 from __future__ import annotations
@@ -145,10 +142,10 @@ class SolverConfig:
     ls_margin: float = 1e-4
 
     def __post_init__(self):
-        if not self.tol_res > 0:
-            raise ValueError(f"tol_res must be positive, got {self.tol_res}")
-        if not self.ls_tol > 0:
-            raise ValueError(f"ls_tol must be positive, got {self.ls_tol}")
+        for name in ("tol_res", "ls_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("max_iter", "ls_max"):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:
@@ -169,9 +166,9 @@ class SolveReport:
     direction z_k (the first one included); ``ls_exhausted`` counts the line
     searches that ran out of their evaluation budget inside a valid bracket
     and took the best point seen instead of a root within ``ls_tol``.
-    ``terms`` holds what the solve computed of the returned state that the
-    step's diagnostics reuse: its LinearTerms, built from it, with lap,
-    beta, beta_prime and convex set by the residual that ended the solve.
+    ``terms`` holds the LinearTerms of the returned state, built from it,
+    with lap, beta, beta_prime and convex set by the residual that ended the
+    solve (see ``fchsim.energy`` for who reads them).
     """
 
     iterations: int
@@ -230,13 +227,16 @@ def precond_solve(
 
 
 def admissible_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> float:
-    """Largest alpha keeping ||phi + alpha d||_inf <= 1 - margin_frac*(1 - ||phi||_inf)."""
+    """Largest alpha keeping ||phi + alpha d||_inf <= 1 - margin_frac*(1 - ||phi||_inf).
+
+    Each entry moves toward the wall copysign(bound, d).  Since bound > |phi|,
+    the numerator copysign(bound, d) - phi has d's sign, so an entry with
+    d = +0 or -0 gives +inf and never caps the step.
+    """
     sup = float(np.max(np.abs(phi)))
     bound = 1.0 - margin_frac * (1.0 - sup)
-    # each entry takes the wall d points at; entries with d == 0 never reach one
-    with np.errstate(divide="ignore", invalid="ignore"):
-        caps = (np.where(d > 0, bound, -bound) - phi) / d
-    caps[d == 0] = np.inf
+    with np.errstate(divide="ignore"):
+        caps = (np.copysign(bound, d) - phi) / d
     return float(np.min(caps))
 
 
@@ -419,8 +419,9 @@ def line_minimize(
     there, so the step decreases the descent objective.  ``g0`` may carry a
     precomputed g(0) (the descent iteration knows it as -<residual, d>);
     ``hint``, the previous accepted step length, is the first trial (halved
-    until it is below the cap).  Trials follow the chord until the root is
-    bracketed and Illinois regula falsi after (see the module docstring).
+    until it is below the cap); one that is not positive and finite counts
+    as none.  Trials follow the chord until the root is bracketed and
+    Illinois regula falsi after (see the module docstring).
     ``exhausted`` is True only when the evaluation budget ran out inside a
     valid bracket; alpha is then the point with the least |g| seen since
     the root was bracketed, not a root within the tolerance.
@@ -444,7 +445,7 @@ def line_minimize(
     # the last two points, at most four times the last trial and never past
     # the cap; the trial doubles when the chord does not rise.
     lo, g_lo = 0.0, g0
-    hi = hint if hint is not None and hint > 0.0 else 1.0
+    hi = hint if hint is not None and 0.0 < hint < math.inf else 1.0
     while hi > cap:
         hi *= 0.5
     at_cap = False
@@ -535,7 +536,8 @@ def psd_solve(
     the sixth-order symbol is large.  Residual content at that level sits in
     the stiffest modes and moves the state by a vanishing amount.
 
-    ``concave`` may carry var_concave(phi_n), as the step computes it.
+    ``concave`` may carry var_concave(phi_n), for ``rhs_explicit``, which
+    also checks that dt is positive.
     ``phi_n``, ``phi_init``, ``source`` and ``concave`` must have the grid's
     shape, and ``ws`` must be built on ``grid``; otherwise a ValueError
     names the argument.
@@ -547,8 +549,6 @@ def psd_solve(
     if ws.grid != grid:
         raise ValueError(f"ws is built on {ws.grid}, not on the solve's {grid}")
     require_admissible(phi_n, "previous step state")
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
 
     f = rhs_explicit(phi_n, dt, grid, pp, concave)
     if source is not None:

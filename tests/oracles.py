@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from fchsim.dynamics import DiagnosticsRecord
-from fchsim.energy import chemical_potential, energy_total
+from fchsim.energy import chemical_potential, energy_total, var_concave, var_convex
 from fchsim.grid import Grid, SpectralWorkspace, grad_norm_sq, norm
 from fchsim.potential import beta, beta_prime, beta_second
 
@@ -132,10 +132,10 @@ def step_record_from_scratch(
     residual: float,
 ) -> DiagnosticsRecord:
     """The record of the step phi_old -> phi_new, every field computed afresh
-    by the public energy_total, chemical_potential, grad_norm_sq and norm;
-    the solver's counters are passed through."""
+    by the public energy_total, var_convex, var_concave, chemical_potential,
+    grad_norm_sq and norm; the solver's counters are passed through."""
     eb = energy_total(phi_new, grid, pp)
-    mu = chemical_potential(phi_new, phi_old, grid, pp)
+    mu = chemical_potential(var_convex(phi_new, grid, pp), var_concave(phi_old, grid, pp))
     return DiagnosticsRecord(
         step=step,
         t=t,

@@ -95,6 +95,33 @@ def test_each_state_is_evaluated_in_one_place():
     assert "linear_terms" in called
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((Path(fchsim.__file__).parent / f"{module}.py").read_text())
+    (body,) = [n for n in tree.body if getattr(n, "name", None) == name]
+    return body
+
+
+def test_each_decision_is_made_in_one_place():
+    # mu subtracts the derivatives the step hands it; the time loop halves dt
+    # in one place; the step cap needs no d == 0 patch; the output directory
+    # is made with its manifest; rhs_explicit alone checks the solve's dt
+    named = {n.id for n in ast.walk(_function("energy", "chemical_potential"))
+             if isinstance(n, ast.Name)}
+    assert not named & {"var_convex", "var_concave"}
+    halvings = [n for n in ast.walk(_function("dynamics", "_advance"))
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
+    assert len(halvings) == 1
+    cap = {getattr(n, "attr", None) for n in ast.walk(_function("solver", "admissible_step_cap"))}
+    assert not cap & {"where", "inf"}
+    cli = ast.parse((Path(fchsim.__file__).parent / "cli.py").read_text())
+    manifests = [n for n in ast.walk(cli)
+                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "write_manifest"]
+    assert len(manifests) == 1
+    compared = {getattr(n.left, "id", None) for n in ast.walk(_function("solver", "psd_solve"))
+                if isinstance(n, ast.Compare)}
+    assert "dt" not in compared
+
+
 def _public_members(cls):
     """The public methods and properties a class defines; dataclass fields are data."""
     fields = getattr(cls, "__dataclass_fields__", {})

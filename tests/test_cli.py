@@ -77,6 +77,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg.set("nonsense", "1")
 
+    def test_unknown_key_not_read(self):
+        with pytest.raises(ConfigError, match="no.such.key"):
+            RunConfig().get("no.such.key")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.parse("grid.nx = banana\n")

@@ -57,6 +57,11 @@ class TestAdaptiveConfig:
             dict(dt_init=0.0),
             dict(dt_init=-1e-3),
             dict(rate_hi=0.0, rate_lo=-1.0),
+            dict(dt_max=float("inf")),
+            dict(dt_min=float("inf"), dt_max=float("inf")),
+            dict(dt_init=float("inf")),
+            dict(rate_hi=float("inf")),
+            dict(rate_lo=float("-inf")),
         ],
     )
     def test_validation(self, kwargs):

@@ -201,7 +201,8 @@ class TestSchemeMaps:
     def test_chemical_potential_constant(self):
         g = Grid.square(6)
         c = 0.25
-        mu = chemical_potential(np.full(g.shape, c), np.full(g.shape, c), g, PP)
+        phi = np.full(g.shape, c)
+        mu = chemical_potential(var_convex(phi, g, PP), var_concave(phi, g, PP))
         b = math.log((1 + c) / (1 - c))
         b1 = 2.0 / (1 - c * c)
         expected = (

@@ -101,6 +101,10 @@ class TestMeandering:
         with pytest.raises(ValueError):
             init_meandering(Grid((16, 16), (12.0, 15.0)))
 
+    def test_needs_a_2d_grid(self):
+        with pytest.raises(ValueError, match="2D"):
+            init_meandering(Grid((30,), (30.0,)))
+
     def test_values_are_two_level(self):
         g = Grid((60, 30), (30.0, 15.0))
         phi = init_meandering(g)

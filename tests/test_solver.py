@@ -53,14 +53,17 @@ class TestSolverConfig:
         [dict(tol_res=0.0), dict(max_iter=0), dict(ls_margin=0.0), dict(ls_margin=1.0), dict(theta1=-1.0),
          dict(ls_max=0), dict(ls_tol=0.0), dict(ls_tol=-1.0), dict(ls_tol=float("nan")),
          dict(tol_res=float("nan")), dict(theta1=float("nan")), dict(theta2=float("inf")),
-         dict(max_iter=2.5), dict(ls_max=2.5)],
+         dict(max_iter=2.5), dict(ls_max=2.5), dict(tol_res=float("inf")),
+         dict(ls_tol=float("inf"))],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "name, value", [("theta1", float("nan")), ("theta2", float("inf")), ("max_iter", 2.5)]
+        "name, value",
+        [("theta1", float("nan")), ("theta2", float("inf")), ("max_iter", 2.5),
+         ("tol_res", float("inf")), ("ls_tol", float("inf"))],
     )
     def test_error_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -211,6 +214,15 @@ class TestLineSearch:
         d = np.zeros((n, n))
         assert admissible_step_cap(phi, d, 1e-4) == masked_step_cap(phi, d, 1e-4) == np.inf
 
+    def test_step_cap_ignores_zeros_of_either_sign(self):
+        rng = np.random.default_rng(37)
+        phi = rng.uniform(-0.95, 0.95, (16, 16))
+        d = rng.standard_normal((16, 16))
+        d[rng.random((16, 16)) < 0.2] = 0.0
+        d[rng.random((16, 16)) < 0.2] = -0.0
+        assert admissible_step_cap(phi, d, 1e-4) == masked_step_cap(phi, d, 1e-4)
+        assert admissible_step_cap(phi, np.full((16, 16), -0.0), 1e-4) == np.inf
+
     def test_matches_scan_oracle(self):
         # root position against a brute scan of the naive g plus bisection
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 37)
@@ -291,6 +303,21 @@ class TestLineSearch:
         assert alpha == cap and not exhausted
         assert LineObjective(phi, d, f, dt, g, PP)(cap) < 0.0  # the root lies past the cap
 
+    @pytest.mark.parametrize("hint", [math.inf, math.nan])
+    def test_hint_that_is_not_finite_is_no_hint(self, hint):
+        # halving an infinite hint toward the cap would never end
+        g = Grid.square(16)
+        pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
+        phi, dt = init_spinodal(g, 1), 2e-4
+        cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-6, ls_tol=1e-4)
+        f = rhs_explicit(phi, dt, g, pp)
+        d = precond_solve(f - nonlinear_map(phi, dt, g, pp), dt, pp, cfg, SpectralWorkspace(g))
+        searches = []
+        for h in (None, hint):
+            obj = LineObjective(phi, d, f, dt, g, pp)
+            searches.append((line_minimize(obj, cfg, hint=h), obj.evals))
+        assert searches[1] == searches[0]
+
     @pytest.mark.parametrize("ls_max", [2, 3, 4])
     def test_exhausted_budget_returns_the_best_point(self, ls_max):
         g, ws, phi, rng, dt = make_instance(Grid.square(8), 30)
@@ -338,6 +365,12 @@ class _Scalar(LineObjective):
 
 
 class TestLineSearchRule:
+    @pytest.mark.parametrize("g0", [0.0, 1.0])
+    def test_no_descent_returns_without_evaluating(self, g0):
+        obj = _Scalar(lambda a: -1.0)
+        assert line_minimize(obj, CFG, g0=g0) == (0.0, False)
+        assert obj.evals == 0
+
     """The chord extrapolation, Illinois regula falsi and the round-off stop."""
 
     def test_linear_g_takes_two_evaluations(self):
@@ -544,11 +577,11 @@ class TestPsdSolve:
 
     def test_scheme_residual_identity(self):
         # the solved step satisfies (phi1 - phi0)/dt = lap mu to the tolerance
-        from fchsim.energy import chemical_potential
+        from fchsim.energy import chemical_potential, var_convex
 
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 47)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
-        mu = chemical_potential(phi1, phi, g, PP)
+        mu = chemical_potential(var_convex(phi1, g, PP), var_concave(phi, g, PP))
         res = norm((phi1 - phi) / dt - laplacian(mu, g), g, "l2")
         f_norm = norm(rhs_explicit(phi, dt, g, PP), g, "l2")
         assert res <= CFG.tol_res * max(1.0, f_norm) * (1 + 1e-12)
