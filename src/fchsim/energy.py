@@ -58,6 +58,7 @@ one list of those hand-offs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,8 +245,8 @@ def nonlinear_map(
     ``terms`` is passed on to var_convex, which builds them from phi when
     not given and records var_convex(phi) on them.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     return phi / dt - laplacian(var_convex(phi, grid, pp, terms), grid)
 
 
@@ -263,8 +264,8 @@ def rhs_explicit(
     f equals mean(phi_old)/dt since the Laplacian term is mean-free.
     ``concave`` may carry var_concave(phi_old); it is computed when not given.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     if concave is None:
         concave = var_concave(phi_old, grid, pp)
     return phi_old / dt - laplacian(concave, grid)

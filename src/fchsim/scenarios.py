@@ -37,7 +37,19 @@ simulation grid's Nyquist band.  The transform along the columns then runs
 on those columns alone.  pocketfft transforms each row and each column on
 its own, and each point of mu takes the same operations whatever block it
 is in, so the forcing is bit-identical to one 2D transform of mu evaluated
-on the whole lattice.
+on the whole lattice from the same samples.
+
+mu is evaluated on one quarter of the lattice only.  Phi changes sign
+under a half-period shift of x or of y, and mu is odd in Phi (beta and
+beta'' are odd, beta' and |grad Phi|^2 even), so mu changes sign under the
+same shifts.  On an axis with an even number m of lattice points, the point
+i + m/2 lies half a period from i, and its sin/cos samples are taken as
+the exact negations of those at i.  Rounding to nearest is symmetric in
+sign, so mu there is exactly the negation of mu at i, and pocketfft gives
+rfft(-v) = -rfft(v) bit for bit: the second half of each row is filled by
+negating the first before the row transform, and the second half of the
+band rows by negating the first before the column transform.  An axis with
+an odd number of points mirrors nothing and is evaluated whole.
 """
 
 from __future__ import annotations
@@ -154,12 +166,38 @@ def manufactured_state(grid: Grid, t: float) -> np.ndarray:
     return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.cos(t) / np.pi)
 
 
-# Lattice points per block of rows in ``manufactured_forcing``: the four
-# block buffers take 512 KiB, inside a core's L2 cache.  A sweep of the
-# forcing at n = 128 (a 512-wide lattice, 2 vCPU Xeon) read 8.2 ms per call
-# at 16 rows, 7.1 ms at 32, 7.5 ms at 64 and 13.7 ms at 512, the whole
-# lattice in one block.
+# Lattice points per block of rows in ``manufactured_forcing``: each block
+# of rows is evaluated on its first e1 columns and transformed whole, and its
+# buffers take 448 KiB at 32 rows of 512, inside a core's L2 cache.  A sweep
+# of the forcing at n = 128 (a 512-wide lattice evaluated on 256 columns,
+# 2 vCPU Xeon, one BLAS thread, best of 7 repeats of 20 calls, two passes)
+# read 4.0-4.3 ms per call at 8 rows, 3.3-3.7 ms at 16, 2.9-3.6 ms at 32,
+# 2.6-3.5 ms at 64, 3.6 ms at 128 and 4.5-4.7 ms at 256, the whole
+# evaluated quarter in one block.
 _BLOCK_POINTS = 32 * 512
+
+
+def _mirror_start(m: int) -> int:
+    """First lattice index whose value is mirrored: m/2 on an even axis, where
+    the index i + m/2 lies half a period from i, and m (none) on an odd one."""
+    return m if m % 2 else m // 2
+
+
+def _axis_samples(n: int, length: float, R: int) -> np.ndarray:
+    """sin and cos of 2 pi x on one refined lattice axis, as two rows.
+
+    The lattice has R*n points offset by half a simulation cell.  From the
+    mirror start on, each value is the exact negation of the one half a
+    period before it, so the negation of mu on the first half is exact.
+    """
+    m = R * n
+    e = _mirror_start(m)
+    x = (np.arange(e) / m + 0.5 / n) * length
+    out = np.empty((2, m))
+    np.sin(2 * np.pi * x, out=out[0, :e])
+    np.cos(2 * np.pi * x, out=out[1, :e])
+    np.negative(out[:, : m - e], out=out[:, e:])
+    return out
 
 
 def _mu_rows(sin_x, cos_x, sin_y, cos_y, cos_t, pp, phi, grad_sq, work, mu):
@@ -240,7 +278,7 @@ def manufactured_forcing(
     discrete mean exactly.
 
     The refined lattice is never held whole.  mu is evaluated in blocks of
-    ``_BLOCK_POINTS // (refine_factor * ny)`` lattice rows, in four block
+    ``_BLOCK_POINTS // (refine_factor * ny)`` lattice rows, in block
     buffers allocated once per call, and each block's rows are transformed
     at once (``rfft`` along the rows), keeping only the ``ny // 2`` band
     columns.  The column transform (``fft`` along the columns) then runs on
@@ -249,6 +287,13 @@ def manufactured_forcing(
     ``rfftn`` is a row ``rfft`` then a column ``fft``, and pocketfft
     transforms each row and each column on its own, while each point of mu
     takes the same operations in the same order whatever block it is in.
+
+    mu is evaluated on the lattice rows [0, e0) and columns [0, e1) only,
+    where e = m/2 on an axis of even length m and e = m on an odd one,
+    which mirrors nothing.  The columns from e1 on are filled by negating
+    the first ones before each row transform, and the band rows from e0 on
+    by negating the first ones before the column transform; the module
+    docstring says why these copies are exact.
     """
     _require_unit_square(grid, "manufactured forcing")
     try:
@@ -263,26 +308,31 @@ def manufactured_forcing(
         )
     n0, n1 = grid.shape
     m0, m1 = R * n0, R * n1
+    e0, e1 = _mirror_start(m0), _mirror_start(m1)
     half0, half1 = n0 // 2, n1 // 2
-    x, y = (
-        (np.arange(R * n) / (R * n) + 0.5 / n) * L for n, L in zip(grid.shape, grid.lengths)
+    (sin_x, cos_x), (sin_y, cos_y) = (
+        _axis_samples(n, L, R) for n, L in zip(grid.shape, grid.lengths)
     )
-    sin_x = np.sin(2 * np.pi * x)[:, None]
-    cos_x = np.cos(2 * np.pi * x)[:, None]
-    sin_y = np.sin(2 * np.pi * y)
-    cos_y = np.cos(2 * np.pi * y)
+    sin_x, cos_x = sin_x[:, None], cos_x[:, None]
     cos_t = np.cos(t)
 
-    rows = min(m0, max(1, _BLOCK_POINTS // m1))
-    blocks = np.empty((4, rows, m1))
+    rows = min(e0, max(1, _BLOCK_POINTS // m1))
+    blocks = np.empty((3, rows, e1))
+    mu_block = np.empty((rows, m1))
     spec = np.empty((rows, m1 // 2 + 1), dtype=complex)
     band = np.empty((m0, half1), dtype=complex)
-    for lo in range(0, m0, rows):
-        hi = min(lo + rows, m0)
-        phi, grad_sq, work, mu = blocks[:, : hi - lo]
-        _mu_rows(sin_x[lo:hi], cos_x[lo:hi], sin_y, cos_y, cos_t, pp, phi, grad_sq, work, mu)
+    for lo in range(0, e0, rows):
+        hi = min(lo + rows, e0)
+        phi, grad_sq, work = blocks[:, : hi - lo]
+        mu = mu_block[: hi - lo]
+        _mu_rows(
+            sin_x[lo:hi], cos_x[lo:hi], sin_y[:e1], cos_y[:e1], cos_t, pp,
+            phi, grad_sq, work, mu[:, :e1],
+        )
+        np.negative(mu[:, : m1 - e1], out=mu[:, e1:])
         np.fft.rfft(mu, axis=1, out=spec[: hi - lo])
         band[lo:hi] = spec[: hi - lo, :half1]
+    np.negative(band[: m0 - e0], out=band[e0:])
     np.fft.fft(band, axis=0, out=band)
 
     coef = np.zeros((n0, half1 + 1), dtype=complex)

@@ -393,9 +393,27 @@ def manufactured_forcing_reference(grid: Grid, t: float, pp, refine_factor: int 
     return s - np.mean(s)
 
 
-# The manufactured forcing as it was evaluated on the whole refined lattice,
-# in three lattice buffers, with one 2D transform of mu: the reference that
-# the blocked ``fchsim.scenarios.manufactured_forcing`` must match bit for bit.
+# The manufactured forcing evaluated on the whole refined lattice, in three
+# lattice buffers, with one 2D transform of mu: the reference that the
+# blocked ``fchsim.scenarios.manufactured_forcing``, which evaluates mu on a
+# quarter of the lattice, must match bit for bit.  Its axis samples follow
+# the same rule, and mu is evaluated at every lattice point.
+
+
+def _antisymmetric_axis(n: int, length: float, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of 2 pi x on a refined lattice axis of R*n points.
+
+    On an even axis the point i + m/2 lies half a period from i, and its
+    sample is taken as the exact negation of sample i instead of a second
+    sin/cos evaluation; an odd axis is sampled point by point.
+    """
+    m = R * n
+    x = (np.arange(m) / m + 0.5 / n) * length
+    sin, cos = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)
+    if m % 2 == 0:
+        sin[m // 2:] = -sin[: m // 2]
+        cos[m // 2:] = -cos[: m // 2]
+    return sin, cos
 
 
 def _whole_lattice_band_laplacian(
@@ -416,13 +434,10 @@ def _whole_lattice_band_laplacian(
 
 def whole_lattice_forcing(grid: Grid, t: float, pp, refine_factor: int = 4) -> np.ndarray:
     R = int(refine_factor)
-    x, y = (
-        (np.arange(R * n) / (R * n) + 0.5 / n) * L for n, L in zip(grid.shape, grid.lengths)
+    (sin_x, cos_x), (sin_y, cos_y) = (
+        _antisymmetric_axis(n, L, R) for n, L in zip(grid.shape, grid.lengths)
     )
-    sin_x = np.sin(2 * np.pi * x)[:, None]
-    cos_x = np.cos(2 * np.pi * x)[:, None]
-    sin_y = np.sin(2 * np.pi * y)
-    cos_y = np.cos(2 * np.pi * y)
+    sin_x, cos_x = sin_x[:, None], cos_x[:, None]
 
     cos_t = np.cos(t)
     phi = np.multiply(sin_x, cos_y)

@@ -181,6 +181,12 @@ class TestSchemeMaps:
         out = nonlinear_map(phi, dt, g, PP)
         assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_nonlinear_map_rejects_a_bad_time_step(self, dt):
+        g = Grid.square(6)
+        with pytest.raises(ValueError, match="time step must be positive and finite"):
+            nonlinear_map(np.full(g.shape, 0.2), dt, g, PP)
+
     def test_rhs_explicit_constant_fixed_point(self):
         g = Grid.square(6)
         c, dt = 0.35, 0.01

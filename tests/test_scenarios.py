@@ -197,7 +197,7 @@ class TestManufacturedForcing:
             assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
 
     @pytest.mark.parametrize(
-        "shape", [(5, 7), (15, 15), (16, 24), (33, 17)], ids=lambda s: f"{s[0]}x{s[1]}"
+        "shape", [(5, 7), (15, 15), (16, 24), (33, 17), (16, 15)], ids=lambda s: f"{s[0]}x{s[1]}"
     )
     @pytest.mark.parametrize("refine", [4, np.int64(5), 8], ids=["R4", "R5-int64", "R8"])
     @pytest.mark.parametrize("block_points", [None, 300], ids=["block-default", "block300"])
@@ -212,6 +212,41 @@ class TestManufacturedForcing:
             for t in (0.0, 0.37, 1.1, math.pi / 2):
                 S = manufactured_forcing(g, t, pp, refine)
                 assert S.tobytes() == whole_lattice_forcing(g, t, pp, refine).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, refine, points",
+        [
+            ((16, 16), 4, 32 * 32),  # even x even: one quarter
+            ((5, 7), 5, 25 * 35),  # odd x odd: the whole lattice
+            ((16, 15), 5, 40 * 75),  # 80 x 75: half the rows, every column
+            ((15, 15), 4, 30 * 30),  # odd cell counts, even lattice
+        ],
+        ids=["16x16-R4", "5x7-R5", "16x15-R5", "15x15-R4"],
+    )
+    def test_mu_is_evaluated_on_the_unmirrored_part(self, shape, refine, points, monkeypatch):
+        evaluated = []
+        mu_rows = scenarios._mu_rows
+
+        def spy(*args):
+            evaluated.append(args[-1].size)
+            mu_rows(*args)
+
+        monkeypatch.setattr(scenarios, "_mu_rows", spy)
+        manufactured_forcing(Grid(shape, (1.0, 1.0)), 0.37, PP_CONV, refine)
+        assert sum(evaluated) == points
+
+    @pytest.mark.parametrize("n, refine", [(16, 4), (15, 4), (16, 5), (15, 5), (7, 5)])
+    def test_axis_samples_are_antisymmetric(self, n, refine):
+        m = n * refine
+        samples = scenarios._axis_samples(n, 1.0, refine)
+        assert samples.shape == (2, m)
+        x = np.arange(m) / m + 0.5 / n
+        if m % 2:
+            assert samples.tobytes() == np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)]).tobytes()
+        else:
+            assert samples[:, m // 2:].tobytes() == np.negative(samples[:, : m // 2]).tobytes()
+            assert np.max(np.abs(samples[0] - np.sin(2 * np.pi * x))) <= 1e-14
+            assert np.max(np.abs(samples[1] - np.cos(2 * np.pi * x))) <= 1e-14
 
     def test_peak_memory_is_a_few_coarse_fields(self):
         # the 512^2 lattice at n = 128 is never held whole: one lattice

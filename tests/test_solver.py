@@ -724,10 +724,11 @@ class TestPsdSolve:
         with pytest.raises(ValueError, match=name):
             psd_solve(dt=dt, grid=g, pp=PP, cfg=CFG, **args)
 
-    def test_rejects_a_zero_time_step(self):
-        g, ws, phi, rng, dt = make_instance(Grid.square(8), 59)
-        with pytest.raises(ValueError, match="time step"):
-            psd_solve(phi, 0.0, g, PP, CFG, ws)
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_a_bad_time_step(self, dt):
+        g, ws, phi, rng, _ = make_instance(Grid.square(8), 59)
+        with pytest.raises(ValueError, match="time step must be positive and finite"):
+            psd_solve(phi, dt, g, PP, CFG, ws)
 
     def test_stalled_line_search_diverges(self, monkeypatch):
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 60)
