@@ -2,9 +2,12 @@
 
 Configuration is flat ``key = value`` text with dotted section prefixes
 (``solver.theta1 = 0.5``); ``#`` starts a comment.  ``--set key=value``
-applies the same syntax on top of the file.  The ``phys.*``, ``solver.*``
-and ``adaptive.*`` keys are generated from the fields of ``PhysParams``,
-``SolverConfig`` and ``AdaptiveConfig``.
+applies the same syntax on top of the file, and ``--out`` and ``--seed``
+set ``run.out`` and ``run.seed`` through it.  A text value (``scenario``,
+``run.out``, ``convergence.coupling``) must be printable ASCII without
+``#``, so that a manifest reads back every value it records.  The
+``phys.*``, ``solver.*`` and ``adaptive.*`` keys are generated from the
+fields of ``PhysParams``, ``SolverConfig`` and ``AdaptiveConfig``.
 
 Each command accepts only the keys it reads; any other key exits 2 before
 any output exists.  ``run`` reads ``scenario``, ``grid.*``, ``phys.*``,
@@ -70,12 +73,19 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
+def _parse_text(s: str) -> str:
+    # a manifest line reads back only printable ASCII without a comment
+    if "#" in s or not (s.isascii() and s.isprintable()):
+        raise ValueError("text must be printable ASCII without '#'")
+    return s
+
+
 # Sections whose keys ``<section>.<field>`` are the fields of a config class.
 _SECTIONS = {"phys": PhysParams, "solver": SolverConfig, "adaptive": AdaptiveConfig}
 
 # (parser, emitter) pairs; a section field's type picks its pair, and an
 # Optional[float] field is a float key that may stay unset
-_STR, _INT, _FLOAT = (str, str), (int, str), (_parse_float, repr)
+_STR, _INT, _FLOAT = (_parse_text, str), (int, str), (_parse_float, repr)
 _FIELD_CODECS = {int: _INT, float: _FLOAT, Optional[float]: _FLOAT}
 
 # key -> (parser, emitter)
@@ -249,16 +259,10 @@ def cmd_run(cfg: RunConfig) -> int:
 
     snap_steps = get("run.snap_every_steps", 0)
     snap_time = get("run.snap_every_time", 0.0)
-    last_saved = 0
 
     def save(phi_now, *, time, step_index):
-        nonlocal last_saved
-        last_saved = step_index
-        path = outdir / f"field_{step_index:08d}.snap"
-        write_snapshot(
-            path, phi_now, scn.grid, time=time, step=step_index, seed=scn.seed,
-            params=digest,
-        )
+        write_snapshot(outdir / f"field_{step_index:08d}.snap", phi_now, scn.grid, time=time,
+                       step=step_index, seed=scn.seed, params=digest)
 
     save(phi, time=0.0, step_index=0)
     next_time = snap_time if snap_time > 0 else None
@@ -275,15 +279,11 @@ def cmd_run(cfg: RunConfig) -> int:
                 # the first multiple of snap_time beyond rec.t, however far
                 # the step went and whichever rule saves this step
                 next_time = (math.floor(rec.t / snap_time * (1.0 + 1e-12)) + 1) * snap_time
-            if time_due or (snap_steps > 0 and rec.step % snap_steps == 0):
+            # the loop lands its last step exactly on t_end, which is saved too
+            if time_due or (snap_steps > 0 and rec.step % snap_steps == 0) or rec.t == scn.t_end:
                 save(phi_now, time=rec.t, step_index=rec.step)
 
-        records, phi_end = advance_adaptive(
-            phi, scn.t_end, scn.grid, scn.phys, adaptive, solver, ws, sink=sink
-        )
-
-    if records and records[-1].step != last_saved:
-        save(phi_end, time=records[-1].t, step_index=records[-1].step)
+        advance_adaptive(phi, scn.t_end, scn.grid, scn.phys, adaptive, solver, ws, sink=sink)
     return 0
 
 
@@ -394,7 +394,7 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.set("run.seed", str(args.seed))
     if args.out is not None:
-        cfg.values["run.out"] = args.out
+        cfg.set("run.out", args.out)
     return cfg
 
 

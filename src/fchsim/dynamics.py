@@ -31,12 +31,14 @@ A :class:`StabilityViolationError` always propagates.
 
 Both drivers run one loop.  A fixed run is the adaptive loop with
 ``dt_min == dt_max == dt``: its rate bound never rejects, a failed solve
-propagates at once, and its dt never grows.  The loop is the only clock:
-it counts t in whole steps from the last change of dt, so a run at
-constant dt accumulates no round-off, and it hands each step the time the
-record is stamped with.  Every step is a whole dt but a last one that is
-genuinely shorter; a remainder within 1e-12 |t| of dt is round-off and is
-taken at dt, landing exactly on the horizon.
+propagates at once, and its dt never grows.  Everything the loop carries
+from one attempt to the next, the clock and the predictor's history among
+it, lives in one private object; the loop itself holds only the attempt.
+That clock is the only one: it counts t in whole steps from the last change
+of dt, so a run at constant dt accumulates no round-off, and it hands each
+step the time the record is stamped with.  Every step is a whole dt but a
+last one that is genuinely shorter; a remainder within 1e-12 |t| of dt is
+round-off and is taken at dt, landing exactly on the horizon.
 
 Each solve is seeded with a predictor: the quadratic Lagrange extrapolation
 through the last three accepted states to the attempted time (linear while
@@ -256,64 +258,86 @@ def _require(ok: bool, name: str, value, need: str) -> None:
         raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
+class _Trajectory:
+    """What the time loop carries from one attempt to the next.
+
+    ``states`` holds the last three accepted states, newest first, and
+    ``gaps`` the dt between them.  The clock is t = t_run + k * dt_run; it
+    counts whole steps from the last change of dt, so a run at constant dt
+    accumulates no round-off.  ``dt`` is the dt to try next, ``energy`` the
+    newest state's energy, ``mass`` the conserved mean and ``records`` the
+    accepted records.
+    """
+
+    def __init__(self, phi, t0, t_end, dt, energy):
+        self.states, self.gaps = [phi], []
+        self.t, self.t_run, self.dt_run, self.k = t0, t0, None, 0
+        self.t_end, self.dt, self.energy = t_end, dt, energy
+        self.mass = float(np.mean(phi))
+        self.records: list[DiagnosticsRecord] = []
+
+    @property
+    def phi(self) -> np.ndarray:
+        """The newest accepted state."""
+        return self.states[0]
+
+    def attempts(self):
+        """Each attempt's start time, dt, end time and solver seed, until t_end.
+
+        The seed is the predictor, ``_extrapolate`` of the accepted states to
+        the attempt's end time.  Between two attempts the caller accepts the
+        step or sets a new ``dt``.
+        """
+        # a remainder within round-off of dt, scaled by the size of t, is taken at dt
+        slack = 1e-12 * max(abs(self.t), abs(self.t_end))
+        while self.t < self.t_end:
+            remaining = self.t_end - self.t
+            dt_step = remaining if remaining < self.dt - slack else self.dt
+            if dt_step != self.dt_run:
+                self.t_run, self.dt_run, self.k = self.t, dt_step, 0
+            final = remaining <= self.dt + slack
+            t_new = self.t_end if final else self.t_run + (self.k + 1) * self.dt_run
+            yield self.t, dt_step, t_new, _extrapolate(self.states, self.gaps, dt_step)
+
+    def accept(self, phi_new: np.ndarray, rec: DiagnosticsRecord) -> None:
+        """Make ``phi_new``, stamped by ``rec``, the newest accepted state."""
+        self.t, self.k = rec.t, self.k + 1
+        self.states = [phi_new, *self.states[:2]]
+        self.gaps = [rec.dt, *self.gaps[:1]]
+        self.energy = rec.e_fch
+        self.records.append(rec)
+
+
 def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
     """The time loop of both drivers: accepted steps from t0 to t_end."""
-    records: list[DiagnosticsRecord] = []
-    mass_ref = float(np.mean(phi))
-    prev_total = energy_total(phi, grid, pp).total
     dt = min(acfg.dt_init if acfg.dt_init is not None else acfg.dt_max, acfg.dt_max)
-    dt = max(dt, acfg.dt_min)
-    # the only clock: t = t_run + k * dt_run counts whole steps from the last
-    # change of dt, so a run at constant dt accumulates no round-off.  A
-    # remainder within round-off of dt, scaled by the size of t, is taken at dt
-    slack = 1e-12 * max(abs(t0), abs(t_end))
-    t = t_run = t0
-    dt_run, k = None, 0
-    # the last three accepted states, newest first, and the dt between them
-    states: list[np.ndarray] = [phi]
-    gaps: list[float] = []
-    while t < t_end:
-        remaining = t_end - t
-        final = remaining <= dt + slack
-        dt_step = remaining if remaining < dt - slack else dt
+    run = _Trajectory(phi, t0, t_end, max(dt, acfg.dt_min), energy_total(phi, grid, pp).total)
+    for t, dt_step, t_new, phi_init in run.attempts():
         at_floor = dt_step <= acfg.dt_min
-        if dt_step != dt_run:
-            t_run, dt_run, k = t, dt_step, 0
-        t_new = t_end if final else t_run + (k + 1) * dt_run
-
-        # The extrapolated accepted states seed the solver; inadmissible
-        # predictions are dropped inside the solver.
-        phi_init = _extrapolate(states, gaps, dt_step)
         source = source_fn(t) if source_fn is not None else None
-
         try:
+            # inadmissible predictions are dropped inside the solver
             phi_new, rec = step(
-                phi, dt_step, grid, pp, cfg, ws, t_new=t_new, index=len(records) + 1,
-                source=source, prev_total=prev_total, mass_ref=mass_ref, phi_init=phi_init,
+                run.phi, dt_step, grid, pp, cfg, ws, t_new=t_new, index=len(run.records) + 1,
+                source=source, prev_total=run.energy, mass_ref=run.mass, phi_init=phi_init,
             )
         except (SolverDivergedError, LineSearchError, PotentialDomainError):
             if at_floor:
                 raise
             rejected = True
         else:
-            r_energy = abs(rec.e_fch - prev_total)
-            r_phase = norm(phi_new - phi, grid, "l2")
+            r_energy = abs(rec.e_fch - run.energy)
+            r_phase = norm(phi_new - run.phi, grid, "l2")
             rejected = max(r_energy, r_phase) > acfg.rate_hi and not at_floor
         if rejected:
-            dt = max(dt_step / 2, acfg.dt_min)
+            run.dt = max(dt_step / 2, acfg.dt_min)
             continue
-
-        t, k = t_new, k + 1
-        phi = phi_new
-        states = [phi, *states[:2]]
-        gaps = [dt_step, *gaps[:1]]
-        prev_total = rec.e_fch
-        records.append(rec)
+        run.accept(phi_new, rec)
         if sink is not None:
-            sink(rec, phi)
+            sink(rec, phi_new)
         if r_energy < acfg.rate_lo and r_phase < acfg.rate_lo:
-            dt = min(dt * 2, acfg.dt_max)
-    return records, phi
+            run.dt = min(run.dt * 2, acfg.dt_max)
+    return run.records, run.phi
 
 
 def _extrapolate(

@@ -197,9 +197,9 @@ def var_convex(
     ``terms`` may carry the LinearTerms of phi; they are built from phi when
     not given.  beta(phi) and beta'(phi) are taken from the terms when they
     are there; otherwise they are computed and recorded on the terms.  The
-    result is recorded on the terms as ``convex``.
+    result is recorded on the terms as ``convex``.  The beta kernels raise
+    PotentialDomainError on an inadmissible phi.
     """
-    require_admissible(phi, "variational derivative argument")
     if terms is None:
         terms = linear_terms(phi, grid)
     if terms.beta is None:
@@ -224,8 +224,10 @@ def var_convex(
 
 
 def var_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
-    """Variational derivative of the concave energy part."""
-    require_admissible(phi, "variational derivative argument")
+    """Variational derivative of the concave energy part.
+
+    The beta kernels raise PotentialDomainError on an inadmissible phi.
+    """
     return (
         -pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta) * laplacian(phi, grid)
         + pp.lam * phi * beta_prime(phi)

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -120,6 +122,47 @@ def test_each_decision_is_made_in_one_place():
     compared = {getattr(n.left, "id", None) for n in ast.walk(_function("solver", "psd_solve"))
                 if isinstance(n, ast.Compare)}
     assert "dt" not in compared
+
+
+def test_each_piece_of_run_state_has_one_owner():
+    # the trajectory object owns what the time loop carries between attempts,
+    # so _advance stores none of it; cmd_run saves step 0 and, in its sink,
+    # every later snapshot; the beta kernels alone check a derivative's domain
+    carried = {"t_run", "dt_run", "k", "states", "gaps", "prev_total", "mass_ref", "records"}
+    stored = {getattr(n, "id", None) or getattr(n, "attr", None)
+              for n in ast.walk(_function("dynamics", "_advance"))
+              if isinstance(getattr(n, "ctx", None), ast.Store)}
+    assert not stored & carried, f"_advance stores {stored & carried}"
+    run = _function("cli", "cmd_run")
+    (sink,) = [n for n in ast.walk(run) if getattr(n, "name", None) == "sink"]
+    saves = [len([n for n in ast.walk(body) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) == "save"]) for body in (run, sink)]
+    assert saves == [2, 1]
+    for name in ("var_convex", "var_concave"):
+        called = {getattr(n.func, "id", None) for n in ast.walk(_function("energy", name))
+                  if isinstance(n, ast.Call)}
+        assert "require_admissible" not in called, name
+
+
+def test_every_import_of_the_suite_is_declared():
+    # tests/ and perfbench/ import only the standard library, the
+    # repository's own modules, and the dependencies and test extra
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    files = sorted((root / "tests").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    own = {"fchsim"} | {path.stem for path in files}
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    undeclared = imported - set(sys.stdlib_module_names) - own - declared
+    assert not undeclared, f"imported but not declared in pyproject.toml: {undeclared}"
 
 
 def _public_members(cls):

@@ -523,6 +523,44 @@ class TestMainExitCodes:
         assert key in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["runs/a#b", "runs/a\nb", "runs/\u00e9"])
+    def test_output_directory_a_manifest_cannot_record_is_config_error(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # a comment, a line break or a non-ASCII character would not read back
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "run.t_end=0"]
+        assert main(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "run.out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, quick",
+        [
+            ("run", ["--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "run.t_end=0"]),
+            ("convergence", ["--set", "convergence.n_list=8", "--set", "convergence.t_final=0.01"]),
+        ],
+    )
+    def test_manifest_reads_back_every_value(self, tmp_path, monkeypatch, command, quick):
+        # --out is set like any key: its surrounding blanks go, inner ones stay
+        import fchsim.cli
+
+        make_outdir, made = fchsim.cli._make_outdir, []
+
+        def recording(resolved):
+            made.append(resolved)
+            return make_outdir(resolved)
+
+        monkeypatch.setattr(fchsim.cli, "_make_outdir", recording)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *quick, "--out", " runs/a b "]) == 0
+        (resolved,) = made
+        assert resolved.get("run.out") == "runs/a b"
+        assert RunConfig.parse(resolved.emit()).values == resolved.values
+        manifest = (tmp_path / "runs" / "a b" / "manifest.txt").read_text()
+        assert RunConfig.parse(manifest).values == resolved.values
+
     @pytest.mark.parametrize("setting", [["--out", ""], ["--set", "run.out="]])
     def test_empty_output_directory_is_config_error(self, tmp_path, monkeypatch, setting):
         monkeypatch.chdir(tmp_path)

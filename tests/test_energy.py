@@ -149,6 +149,15 @@ class TestVariationalDerivatives:
             scale = max(abs(analytic), abs(fd), gnorm(deriv, g, "l2") * gnorm(v, g, "l2"))
             assert abs(analytic - fd) <= 1e-6 * scale + 1e-12
 
+    @pytest.mark.parametrize("deriv_fn", [var_convex, var_concave])
+    def test_rejects_a_field_touching_one(self, deriv_fn):
+        # the beta kernels check the domain; the derivatives add no check of their own
+        g = Grid.square(6)
+        phi = np.zeros(g.shape)
+        phi[2, 3] = 1.0
+        with pytest.raises(PotentialDomainError, match="phase value"):
+            deriv_fn(phi, g, PP)
+
     def test_var_convex_dense_oracle(self):
         rng = np.random.default_rng(25)
         g = Grid.square(8)
