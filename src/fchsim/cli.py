@@ -154,7 +154,7 @@ class RunConfig:
 # command -> (prefixes of the keys it reads, the defaults it adds)
 _COMMANDS = {
     "run": (("scenario", "grid.", "phys.", "solver.", "adaptive.", "run."),
-            {"scenario": "spinodal"}),
+            {"scenario": "spinodal", "run.snap_every_steps": 0, "run.snap_every_time": 0.0}),
     "convergence": (("phys.", "solver.", "convergence.", "run.out"),
                     {"scenario": "convergence", "convergence.n_list": (16, 32, 64, 128),
                      "convergence.coupling": "dt16h2", "convergence.t_final": 0.32,
@@ -239,7 +239,7 @@ def cmd_run(cfg: RunConfig) -> int:
     resolved = _resolve(cfg)
     get = resolved.get
     for key in ("run.t_end", "run.snap_every_time", "run.snap_every_steps"):
-        if get(key, 0) < 0:
+        if get(key) < 0:
             raise ConfigError(f"{key} must not be negative, got {get(key)!r}")
     phys = _section_config(resolved, "phys")
     solver = _section_config(resolved, "solver")
@@ -257,8 +257,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
     digest = params_digest(scn.grid, scn.phys, solver, adaptive, scn.seed, scn.ell)
 
-    snap_steps = get("run.snap_every_steps", 0)
-    snap_time = get("run.snap_every_time", 0.0)
+    snap_steps = get("run.snap_every_steps")
+    snap_time = get("run.snap_every_time")
 
     def save(phi_now, *, time, step_index):
         write_snapshot(outdir / f"field_{step_index:08d}.snap", phi_now, scn.grid, time=time,
@@ -382,9 +382,11 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
         cfg = RunConfig.parse(text)
     for item in args.set or []:
         if "=" not in item:

@@ -86,10 +86,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .grid import Grid, SpectralWorkspace, _dot, cell_avg, face_avg, face_diff, laplacian
+from .grid import Grid, SpectralWorkspace, _dot, cell_avg, face_avg, face_diff, laplacian, norm
 from .energy import LinearTerms, linear_terms, nonlinear_map, rhs_explicit
 from .potential import PhysParams, PotentialDomainError, admissible, require_admissible
-from .potential import _beta, _beta_prime
+from .potential import _beta, _beta_prime, _sup
 
 __all__ = [
     "SolverConfig",
@@ -233,8 +233,7 @@ def admissible_step_cap(phi: np.ndarray, d: np.ndarray, margin_frac: float) -> f
     the numerator copysign(bound, d) - phi has d's sign, so an entry with
     d = +0 or -0 gives +inf and never caps the step.
     """
-    sup = float(np.max(np.abs(phi)))
-    bound = 1.0 - margin_frac * (1.0 - sup)
+    bound = 1.0 - margin_frac * (1.0 - _sup(phi))
     with np.errstate(divide="ignore"):
         caps = (np.copysign(bound, d) - phi) / d
     return float(np.min(caps))
@@ -554,9 +553,11 @@ def psd_solve(
     if source is not None:
         f += source
     vol = grid.cell_volume
-    f_norm = math.sqrt(vol * _dot(f, f))
-    phi_norm = math.sqrt(vol * _dot(phi_n, phi_n))
-    fp_floor = np.finfo(float).eps * phi_norm * symbol_rms(ws, dt, pp, cfg)
+    f_norm = norm(f, grid)
+    if not math.isfinite(f_norm):
+        # max(1, nan) is 1, so a NaN right-hand side would pass the check below
+        raise SolverDivergedError("right-hand side is not finite", residual=np.nan, iterations=0)
+    fp_floor = np.finfo(float).eps * norm(phi_n, grid) * symbol_rms(ws, dt, pp, cfg)
     tol = max(cfg.tol_res * max(1.0, f_norm), fp_floor)
     if not np.isfinite(tol):
         # an overflowing floor would accept the first iterate unsolved
@@ -564,13 +565,14 @@ def psd_solve(
             f"residual tolerance {tol} is not finite", residual=np.nan, iterations=0
         )
 
-    phi = phi_n.copy()
+    phi = None
     if phi_init is not None:
-        sup0 = float(np.max(np.abs(phi_n)))
-        headroom = 1.0 - 0.5 * (1.0 - sup0)
+        headroom = 1.0 - 0.5 * (1.0 - _sup(phi_n))
         candidate = phi_init + (np.mean(phi_n) - np.mean(phi_init))
-        if float(np.max(np.abs(candidate))) <= headroom:
+        if _sup(candidate) <= headroom:
             phi = candidate
+    if phi is None:
+        phi = phi_n.copy()  # the iteration moves phi in place
     terms = linear_terms(phi, grid)
     ls_evals = restarts = exhausted = 0
     alpha_prev: float | None = None
@@ -579,17 +581,16 @@ def psd_solve(
     for it in range(cfg.max_iter + 1):
         # Terms built from phi (it == 0) give the from-scratch residual.
         r = f - nonlinear_map(phi, dt, grid, pp, terms)
-        res = math.sqrt(vol * _dot(r, r))
+        res = norm(r, grid)
         if res <= tol and it > 0:
             # Carried terms drift by round-off, so only a residual from
             # scratch may end the solve.  If it misses, go on from its terms.
             g = None  # frees its fields; objectives after this allocate anew
             terms = linear_terms(phi, grid)
             r = f - nonlinear_map(phi, dt, grid, pp, terms)
-            res = math.sqrt(vol * _dot(r, r))
+            res = norm(r, grid)
         if res <= tol:
-            margin = 1.0 - float(np.max(np.abs(phi)))
-            report = SolveReport(it, res, ls_evals, margin, restarts, exhausted, terms)
+            report = SolveReport(it, res, ls_evals, 1.0 - _sup(phi), restarts, exhausted, terms)
             return phi, report
         if it == cfg.max_iter:
             raise SolverDivergedError(

@@ -77,6 +77,28 @@ def test_one_implementation_per_operator():
     assert not strays, f"operators implemented outside their home module: {strays}"
 
 
+def test_each_range_and_norm_is_read_in_one_place():
+    # potential._sup is the one reading of max |f| and forms no |f| field,
+    # and psd_solve takes its l2 norms from grid.norm
+    package = Path(fchsim.__file__).parent
+    absolutes = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "abs"
+    ]
+    assert not absolutes, f"abs attribute accessed in {absolutes}"
+    solve = _function("solver", "psd_solve")
+    sqrts = [n for n in ast.walk(solve)
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "sqrt"]
+    assert not sqrts, "psd_solve takes a square root itself"
+    readers = [("potential", "admissible"), ("potential", "require_admissible"),
+               ("solver", "admissible_step_cap"), ("solver", "psd_solve")]
+    for module, name in readers:
+        named = {n.id for n in ast.walk(_function(module, name)) if isinstance(n, ast.Name)}
+        assert "_sup" in named, f"{module}.{name} does not read the range with _sup"
+
+
 def test_each_state_is_evaluated_in_one_place():
     # the step computes var_concave(phi_n) and hands it to the solve, and
     # energy_total builds its stencils only through linear_terms

@@ -39,6 +39,7 @@ phys.p = 1
 run.ell = 0.35
 run.seed = 1
 run.snap_every_steps = 1
+run.snap_every_time = 0.0
 run.t_end = 5e-06
 scenario = pearling
 solver.ls_margin = 0.0001
@@ -664,3 +665,11 @@ class TestMainExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 2
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"scenario = sp\xffinodal\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert str(cfg_file) in capsys.readouterr().err
+        assert not out.exists()

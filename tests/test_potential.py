@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fchsim.grid import Grid
 from fchsim.potential import (
     PhysParams,
     PotentialDomainError,
+    _sup,
     admissible,
     beta,
     beta_prime,
@@ -177,6 +181,30 @@ class TestMixingFamily:
     def test_domain_guard(self):
         with pytest.raises(PotentialDomainError):
             mixing_family(1.0, self.PP)
+
+
+# 0-, 1- and 2-D fields whose entries include the signed zeros, the smallest
+# subnormal, the values next to +-1, the infinities and NaN
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.nextafter(1.0, 0.0),
+          np.nextafter(-1.0, 0.0), math.inf, -math.inf, math.nan]
+FIELDS = arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=5),
+                elements=st.one_of(st.sampled_from(_EDGES), st.floats()))
+
+
+class TestRangeKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(FIELDS)
+    def test_sup_is_max_abs(self, f):
+        got, want = _sup(f), float(np.max(np.abs(f)))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(FIELDS)
+    def test_admissible_is_the_two_sided_test(self, f):
+        assert admissible(f) == bool(f.max() < 1.0 and f.min() > -1.0)
+
+    def test_zero_field_gives_positive_zero(self):
+        assert math.copysign(1.0, _sup(np.zeros((3, 3)))) == 1.0
 
 
 class TestAdmissibility:

@@ -669,6 +669,17 @@ class TestPsdSolve:
             psd_solve(phi, dt, g, PP, SolverConfig(theta1=1e308), ws)
         assert info.value.iterations == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_source_is_divergence(self, value):
+        # max(1, nan) is 1, so the tolerance check alone lets a NaN
+        # right-hand side through to the line search
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 61)
+        source = np.zeros(g.shape)
+        source[3, 5] = value
+        with pytest.raises(SolverDivergedError, match="right-hand side is not finite") as info:
+            psd_solve(phi, dt, g, PP, CFG, ws, source=source)
+        assert info.value.iterations == 0
+
     def test_inadmissible_seed_is_dropped(self):
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 55)
         plain, plain_report = psd_solve(phi, dt, g, PP, CFG, ws)
