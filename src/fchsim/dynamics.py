@@ -40,10 +40,17 @@ step the time the record is stamped with.  Every step is a whole dt but a
 last one that is genuinely shorter; a remainder within 1e-12 |t| of dt is
 round-off and is taken at dt, landing exactly on the horizon.
 
-Each solve is seeded with a predictor: the quadratic Lagrange extrapolation
-through the last three accepted states to the attempted time (linear while
-only two exist, none at the first step).  Only accepted steps enter its
-history, which starts empty at each call.
+Each solve is seeded with a predictor: the Lagrange extrapolation through
+the last accepted states to the attempted time, none at the first step,
+linear from two states, quadratic from three, and from four the quadratic
+or the cubic, whichever predicted the last accepted step better.  That
+choice is made at each accepted step from the four states before it: the
+cubic seeds the next solve only if its max-norm miss of the accepted state
+is below half the quadratic's.  The cubic is mostly chosen while the state
+moves fast.  Late in a run the quadratic is: each state then carries solver
+error near the tolerance, which the cubic weights amplify more (their
+absolute sum is 15 at equal steps, the quadratic's 7).  Only accepted steps
+enter the history and the choice, and the history starts empty at each call.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ import numpy as np
 
 from .grid import Grid, SpectralWorkspace, grad_norm_sq, norm
 from .energy import chemical_potential, energy_total, var_concave
-from .potential import PhysParams, PotentialDomainError
+from .potential import PhysParams, PotentialDomainError, _sup
 from .solver import LineSearchError, SolverConfig, SolverDivergedError, psd_solve
 
 __all__ = [
@@ -71,6 +78,9 @@ __all__ = [
 
 MASS_RTOL = 1e-10
 ENERGY_SLACK_FACTOR = 10.0
+# the cubic predictor seeds the next solve only if it missed the accepted
+# state by less than this fraction of the quadratic's miss
+_CUBIC_ERROR_RATIO = 0.5
 
 
 class StabilityViolationError(RuntimeError):
@@ -140,26 +150,30 @@ def step(
     prev_total: float | None = None,
     mass_ref: float | None = None,
     phi_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, DiagnosticsRecord]:
+    concave: np.ndarray | None = None,
+) -> tuple[np.ndarray, DiagnosticsRecord, np.ndarray]:
     """Advance one step and assert mass, separation and energy decay.
 
-    The record is stamped with ``t_new``, the step's end time on the
-    caller's clock.  ``source`` adds an explicit forcing to the right-hand
-    side (used by the manufactured-solution harness); forcing does work on
-    the system, so the energy-decay assertion is skipped in that case.
-    ``prev_total`` avoids recomputing the current energy when the caller
-    already has it; ``mass_ref`` is the conserved mean (defaults to the
-    current one); ``phi_init`` seeds the solver iteration.
+    Returns the new state, its record and var_concave of the new state, for
+    the next step.  The record is stamped with ``t_new``, the step's end
+    time on the caller's clock.  ``source`` adds an explicit forcing to the
+    right-hand side (used by the manufactured-solution harness); forcing
+    does work on the system, so the energy-decay assertion is skipped in
+    that case.  ``prev_total`` avoids recomputing the current energy when
+    the caller already has it; ``mass_ref`` is the conserved mean (defaults
+    to the current one); ``phi_init`` seeds the solver iteration;
+    ``concave`` may carry var_concave(phi), which is computed when not given.
 
-    The step computes var_concave(phi) and takes the new state's energy and
-    var_convex from the terms the solve returns; the ``fchsim.energy``
-    module docstring lists these hand-offs.
+    The step takes the new state's energy, var_convex and var_concave from
+    the terms the solve returns; the ``fchsim.energy`` module docstring
+    lists these hand-offs.
     """
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
         prev_total = energy_total(phi, grid, pp).total
 
-    concave = var_concave(phi, grid, pp)
+    if concave is None:
+        concave = var_concave(phi, grid, pp)
     phi_new, report = psd_solve(
         phi, dt, grid, pp, cfg, ws, source=source, phi_init=phi_init, concave=concave
     )
@@ -202,7 +216,7 @@ def step(
         psd_iters=report.iterations,
         residual=report.residual,
     )
-    return phi_new, record
+    return phi_new, record, var_concave(phi_new, grid, pp, report.terms)
 
 
 def advance_fixed(
@@ -261,18 +275,21 @@ def _require(ok: bool, name: str, value, need: str) -> None:
 class _Trajectory:
     """What the time loop carries from one attempt to the next.
 
-    ``states`` holds the last three accepted states, newest first, and
-    ``gaps`` the dt between them.  The clock is t = t_run + k * dt_run; it
-    counts whole steps from the last change of dt, so a run at constant dt
-    accumulates no round-off.  ``dt`` is the dt to try next, ``energy`` the
-    newest state's energy, ``mass`` the conserved mean and ``records`` the
-    accepted records.
+    ``states`` holds the last four accepted states, newest first, and
+    ``gaps`` the dt between them.  ``order`` is the order of the predictor
+    that seeds the next solve once four states exist, 2 or 3, and ``seed``
+    the last attempt's seed, until ``accept``.  The clock is
+    t = t_run + k * dt_run; it counts whole steps from the last change of
+    dt, so a run at constant dt accumulates no round-off.  ``dt`` is the dt
+    to try next, ``energy`` and ``concave`` the newest state's energy and
+    var_concave, ``mass`` the conserved mean and ``records`` the accepted
+    records.
     """
 
-    def __init__(self, phi, t0, t_end, dt, energy):
-        self.states, self.gaps = [phi], []
+    def __init__(self, phi, t0, t_end, dt, energy, concave):
+        self.states, self.gaps, self.order, self.seed = [phi], [], 2, None
         self.t, self.t_run, self.dt_run, self.k = t0, t0, None, 0
-        self.t_end, self.dt, self.energy = t_end, dt, energy
+        self.t_end, self.dt, self.energy, self.concave = t_end, dt, energy, concave
         self.mass = float(np.mean(phi))
         self.records: list[DiagnosticsRecord] = []
 
@@ -284,9 +301,11 @@ class _Trajectory:
     def attempts(self):
         """Each attempt's start time, dt, end time and solver seed, until t_end.
 
-        The seed is the predictor, ``_extrapolate`` of the accepted states to
-        the attempt's end time.  Between two attempts the caller accepts the
-        step or sets a new ``dt``.
+        The seed is ``_extrapolate`` of the accepted states to the attempt's
+        end time: none, linear or quadratic while one, two or three states
+        exist, and then the prediction of order ``order``, from the newest
+        three states or all four.  Between two attempts the caller accepts
+        the step or sets a new ``dt``.
         """
         # a remainder within round-off of dt, scaled by the size of t, is taken at dt
         slack = 1e-12 * max(abs(self.t), abs(self.t_end))
@@ -297,29 +316,52 @@ class _Trajectory:
                 self.t_run, self.dt_run, self.k = self.t, dt_step, 0
             final = remaining <= self.dt + slack
             t_new = self.t_end if final else self.t_run + (self.k + 1) * self.dt_run
-            yield self.t, dt_step, t_new, _extrapolate(self.states, self.gaps, dt_step)
+            self.seed = self._predict(self.order, dt_step)
+            yield self.t, dt_step, t_new, self.seed
 
-    def accept(self, phi_new: np.ndarray, rec: DiagnosticsRecord) -> None:
-        """Make ``phi_new``, stamped by ``rec``, the newest accepted state."""
+    def _predict(self, order: int, tau: float) -> np.ndarray | None:
+        """``_extrapolate`` of the newest ``order + 1`` accepted states to ``tau`` past them."""
+        return _extrapolate(self.states[:order + 1], self.gaps[:order], tau)
+
+    def accept(self, phi_new: np.ndarray, rec: DiagnosticsRecord, concave: np.ndarray) -> None:
+        """Make ``phi_new``, stamped by ``rec``, the newest accepted state.
+
+        ``concave`` is its var_concave, as the step returned it.  When the
+        last attempt, the one accepted, had four states to extrapolate, the
+        next step's order is chosen by how far the quadratic and the cubic
+        predictions were from ``phi_new`` in the max norm: cubic only if its
+        error is below ``_CUBIC_ERROR_RATIO`` times the quadratic's.
+        """
+        if len(self.states) == 4:
+            # the seed is the prediction of this order; the other one is formed here
+            other = 5 - self.order
+            predictions = {self.order: self.seed, other: self._predict(other, rec.dt)}
+            miss = np.empty_like(phi_new)
+            quadratic, cubic = (_sup(np.subtract(phi_new, predictions[order], out=miss))
+                                for order in (2, 3))
+            self.order = 3 if cubic < _CUBIC_ERROR_RATIO * quadratic else 2
+        self.seed = None
         self.t, self.k = rec.t, self.k + 1
-        self.states = [phi_new, *self.states[:2]]
-        self.gaps = [rec.dt, *self.gaps[:1]]
-        self.energy = rec.e_fch
+        self.states = [phi_new, *self.states[:3]]
+        self.gaps = [rec.dt, *self.gaps[:2]]
+        self.energy, self.concave = rec.e_fch, concave
         self.records.append(rec)
 
 
 def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
     """The time loop of both drivers: accepted steps from t0 to t_end."""
     dt = min(acfg.dt_init if acfg.dt_init is not None else acfg.dt_max, acfg.dt_max)
-    run = _Trajectory(phi, t0, t_end, max(dt, acfg.dt_min), energy_total(phi, grid, pp).total)
+    run = _Trajectory(phi, t0, t_end, max(dt, acfg.dt_min), energy_total(phi, grid, pp).total,
+                      var_concave(phi, grid, pp))
     for t, dt_step, t_new, phi_init in run.attempts():
         at_floor = dt_step <= acfg.dt_min
         source = source_fn(t) if source_fn is not None else None
         try:
             # inadmissible predictions are dropped inside the solver
-            phi_new, rec = step(
+            phi_new, rec, concave_new = step(
                 run.phi, dt_step, grid, pp, cfg, ws, t_new=t_new, index=len(run.records) + 1,
                 source=source, prev_total=run.energy, mass_ref=run.mass, phi_init=phi_init,
+                concave=run.concave,
             )
         except (SolverDivergedError, LineSearchError, PotentialDomainError):
             if at_floor:
@@ -332,7 +374,7 @@ def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
         if rejected:
             run.dt = max(dt_step / 2, acfg.dt_min)
             continue
-        run.accept(phi_new, rec)
+        run.accept(phi_new, rec, concave_new)
         if sink is not None:
             sink(rec, phi_new)
         if r_energy < acfg.rate_lo and r_phase < acfg.rate_lo:
@@ -345,9 +387,10 @@ def _extrapolate(
 ) -> np.ndarray | None:
     """Lagrange extrapolation of ``states`` to ``tau`` past the newest.
 
-    ``states`` holds one to three states, newest first, and ``gaps`` the
-    time between consecutive ones (h1 = t_n - t_{n-1}, h2 = t_{n-1} - t_{n-2}).
-    One state gives None, two the line through them, three the parabola.
+    ``states`` holds one to four states, newest first, and ``gaps`` the
+    time between consecutive ones (h1 = t_n - t_{n-1}, h2 = t_{n-1} - t_{n-2},
+    h3 = t_{n-2} - t_{n-3}).  One state gives None, two the line through
+    them, three the parabola and four the cubic.
     """
     if len(states) == 1:
         return None
@@ -356,10 +399,23 @@ def _extrapolate(
     if len(states) == 2:
         return phi + (tau / h1) * (phi - phi1)
     phi2, h2 = states[2], gaps[1]
-    w0 = (tau + h1) * (tau + h1 + h2) / (h1 * (h1 + h2))
-    w1 = -tau * (tau + h1 + h2) / (h1 * h2)
-    w2 = tau * (tau + h1) / ((h1 + h2) * h2)
-    out = w0 * phi
-    out += w1 * phi1
-    out += w2 * phi2
+    if len(states) == 3:
+        weights = (
+            (tau + h1) * (tau + h1 + h2) / (h1 * (h1 + h2)),
+            -tau * (tau + h1 + h2) / (h1 * h2),
+            tau * (tau + h1) / ((h1 + h2) * h2),
+        )
+    else:
+        h3 = gaps[2]
+        s1, s2, s3 = h1 + h2, h2 + h3, h1 + h2 + h3
+        weights = (
+            (tau + h1) * (tau + s1) * (tau + s3) / (h1 * s1 * s3),
+            -tau * (tau + s1) * (tau + s3) / (h1 * h2 * s2),
+            tau * (tau + h1) * (tau + s3) / (s1 * h2 * h3),
+            -tau * (tau + h1) * (tau + s1) / (s3 * s2 * h3),
+        )
+    out = weights[0] * phi
+    work = np.empty_like(out)
+    for w, state in zip(weights[1:], states[1:]):
+        out += np.multiply(state, w, out=work)
     return out

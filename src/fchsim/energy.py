@@ -48,12 +48,17 @@ one list of those hand-offs:
 * ``energy_total`` reads lap phi, D phi and gsq from the terms, and
   beta'(phi) when they carry it; beta(phi) always comes from
   ``mixing_family``, which takes the logarithms B needs anyway.
-* The step computes var_concave(phi_old) once and hands it to the solve,
-  for ``rhs_explicit``, and to ``chemical_potential``.
+* The step takes var_concave(phi_old) from the step before it (the time
+  loop carries it into every attempt from phi_old; only the loop's first
+  state is computed from scratch) and hands it to the solve, for
+  ``rhs_explicit``, and to ``chemical_potential``.
 * The solve returns the terms of the state it returns, built from that
   state and carrying lap phi, beta, beta' and var_convex from the residual
   that ended the solve (``SolveReport.terms``).  The step hands them to
-  ``energy_total``, and their var_convex to ``chemical_potential``.
+  ``energy_total``, their var_convex to ``chemical_potential``, which
+  overwrites it with mu, and their lap phi, beta and beta' to
+  ``var_concave``, whose result for the new state it returns for the next
+  step.
 """
 
 from __future__ import annotations
@@ -223,16 +228,28 @@ def var_convex(
     return out
 
 
-def var_concave(phi: np.ndarray, grid: Grid, pp: PhysParams) -> np.ndarray:
+def var_concave(
+    phi: np.ndarray, grid: Grid, pp: PhysParams, terms: LinearTerms | None = None
+) -> np.ndarray:
     """Variational derivative of the concave energy part.
 
-    The beta kernels raise PotentialDomainError on an inadmissible phi.
+    ``terms`` may carry the LinearTerms of phi with lap, beta and beta_prime
+    set, as the solve returns them; the result then needs no stencil and no
+    logarithm, and has the bits of the one from phi.  Without them the
+    pieces are computed from phi, and the beta kernels raise
+    PotentialDomainError on an inadmissible phi.
     """
-    return (
-        -pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta) * laplacian(phi, grid)
-        + pp.lam * phi * beta_prime(phi)
-        + (pp.lam + pp.eps_p_eta) * beta(phi)
-    )
+    if terms is None:
+        lap, b, b1 = laplacian(phi, grid), beta(phi), beta_prime(phi)
+    else:
+        lap, b, b1 = terms.lap, terms.beta, terms.beta_prime
+    # -eps^2 (2 lam + eps^p eta) lap + (lam phi) b1 + (lam + eps^p eta) b, in this order
+    out = np.multiply(lap, -pp.eps**2 * (2.0 * pp.lam + pp.eps_p_eta))
+    work = np.multiply(phi, pp.lam)
+    work *= b1
+    out += work
+    out += np.multiply(b, pp.lam + pp.eps_p_eta, out=work)
+    return out
 
 
 def nonlinear_map(

@@ -523,8 +523,8 @@ def psd_solve(
     the solve and is reported (see the module docstring).
 
     ``phi_init`` may supply a better starting iterate (the time loop of
-    both drivers passes the quadratic extrapolation of the last three
-    accepted states).
+    both drivers passes the quadratic or cubic extrapolation of the last
+    accepted states, see ``fchsim.dynamics``).
     It is shifted to the mean of ``phi_n`` and used only when the shifted
     field keeps half of phi_n's distance to +-1; otherwise the solve starts
     from ``phi_n``.

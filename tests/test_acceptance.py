@@ -266,7 +266,7 @@ class TestCriterion8OperatorIdentities:
         ws = SpectralWorkspace(g)
         cfg = SolverConfig()
         const = np.full(g.shape, 0.3)
-        stepped, rec = step(const, 5e-3, g, pp, cfg, ws)
+        stepped, rec, _ = step(const, 5e-3, g, pp, cfg, ws)
         ok_const = bool(np.array_equal(stepped, const))
 
         ok = ok_sbp and ok_split and ok_const

@@ -150,7 +150,8 @@ def test_each_piece_of_run_state_has_one_owner():
     # the trajectory object owns what the time loop carries between attempts,
     # so _advance stores none of it; cmd_run saves step 0 and, in its sink,
     # every later snapshot; the beta kernels alone check a derivative's domain
-    carried = {"t_run", "dt_run", "k", "states", "gaps", "prev_total", "mass_ref", "records"}
+    carried = {"t_run", "dt_run", "k", "states", "gaps", "order", "seed", "concave",
+               "prev_total", "mass_ref", "records"}
     stored = {getattr(n, "id", None) or getattr(n, "attr", None)
               for n in ast.walk(_function("dynamics", "_advance"))
               if isinstance(getattr(n, "ctx", None), ast.Store)}

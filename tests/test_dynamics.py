@@ -14,7 +14,10 @@ from fchsim.dynamics import (
     MASS_RTOL,
     AdaptiveConfig,
     StabilityViolationError,
+    DiagnosticsRecord,
+    _CUBIC_ERROR_RATIO,
     _extrapolate,
+    _Trajectory,
     advance_adaptive,
     advance_fixed,
     step,
@@ -74,7 +77,7 @@ class TestStep:
         g = Grid.square(8)
         ws = SpectralWorkspace(g)
         phi = np.full(g.shape, 0.25)
-        phi1, rec = step(phi, 0.01, g, PP, CFG, ws)
+        phi1, rec, _ = step(phi, 0.01, g, PP, CFG, ws)
         assert np.array_equal(phi1, phi)
         assert rec.psd_iters <= 1
         e = energy_total(phi, g, PP).total
@@ -82,7 +85,7 @@ class TestStep:
 
     def test_record_fields(self):
         g, ws, phi = quick_setup()
-        phi1, rec = step(phi, 0.01, g, PP, CFG, ws, t_new=1.51, index=7)
+        phi1, rec, _ = step(phi, 0.01, g, PP, CFG, ws, t_new=1.51, index=7)
         assert rec.step == 7
         assert rec.t == 1.51
         assert rec.dt == 0.01
@@ -122,7 +125,7 @@ class TestStep:
         ws = SpectralWorkspace(g)
         phi = manufactured_state(g, 0.0)
         src = manufactured_forcing(g, 0.0, PP, 4)
-        phi1, rec = step(phi, 0.01, g, PP, CFG, ws, source=src)
+        phi1, rec, _ = step(phi, 0.01, g, PP, CFG, ws, source=src)
         assert np.max(np.abs(phi1)) < 1.0
 
 
@@ -157,7 +160,7 @@ class TestStepProperties:
     def test_one_step_guarantees(self, case):
         g, phi, dt = case
         e0 = energy_total(phi, g, PP).total
-        phi1, rec = step(phi, dt, g, PP, CFG, SpectralWorkspace(g))
+        phi1, rec, _ = step(phi, dt, g, PP, CFG, SpectralWorkspace(g))
         mass0 = float(np.mean(phi))
         assert abs(np.mean(phi1) - mass0) <= MASS_RTOL * max(1.0, abs(mass0))
         assert np.max(np.abs(phi1)) < 1.0
@@ -288,6 +291,40 @@ class TestAdvanceFixed:
         assert len(calls) == 5
 
 
+def _cubic_in_time(shape, seed):
+    """A field a + b t + c t^2 + d t^3 with random coefficient fields."""
+    a, b, c, d = np.random.default_rng(seed).standard_normal((4, *shape))
+    return lambda t: a + b * t + c * t * t + d * t * t * t
+
+
+def _record(t, dt):
+    """An accepted record stamped t and dt; the trajectory reads no other field."""
+    return DiagnosticsRecord(step=0, t=t, dt=dt, e_fch=0.0, e_ch=0.0, e_pfw=0.0, mass=0.0,
+                             phi_min=0.0, phi_max=0.0, h2_norm=0.0, grad_mu=0.0,
+                             psd_iters=0, residual=0.0)
+
+
+def _drive(field, dts, noise=0.0, seed=0):
+    """Accept ``field`` at the end of each attempt of dt in ``dts``, with noise.
+
+    Returns the trajectory and, per attempt, the number of states it had and
+    its seed.  Each accepted state carries uniform noise of size ``noise``.
+    """
+    rng = np.random.default_rng(seed)
+    run = _Trajectory(field(0.0), 0.0, sum(dts), dts[0], 0.0, None)
+    seeds = []
+    for (_, dt, t_new, seed_), dt_next in zip(run.attempts(), [*dts[1:], dts[-1]]):
+        seeds.append((len(run.states), seed_))
+        state = field(t_new) + noise * rng.uniform(-1.0, 1.0, size=run.phi.shape)
+        run.accept(state, _record(t_new, dt), None)
+        run.dt = dt_next
+    return run, seeds
+
+
+# unequal steps, as the controller makes them after halving and doubling
+DTS = [1e-3, 5e-4, 5e-4, 1e-3, 2e-3, 1e-3, 5e-4, 1e-3]
+
+
 class TestPredictor:
     def test_reproduces_quadratic_in_time(self):
         rng = np.random.default_rng(70)
@@ -310,24 +347,91 @@ class TestPredictor:
         assert np.max(np.abs(got - (a + 0.25 * b))) <= 1e-14 * np.max(np.abs(a + 0.25 * b))
         assert _extrapolate([a], [], 0.05) is None
 
+    def test_cubic_seed_reproduces_cubic_in_time(self):
+        field = _cubic_in_time((8, 8), 72)
+        h1, h2, h3, tau, t_n = 0.3, 0.7, 0.2, 0.45, 1.1
+        times = [t_n, t_n - h1, t_n - h1 - h2, t_n - h1 - h2 - h3]
+        run = _Trajectory(field(times[-1]), times[-1], t_n + tau, tau, 0.0, None)
+        run.states, run.gaps, run.order, run.t = [field(t) for t in times], [h1, h2, h3], 3, t_n
+        _, dt, t_new, got = next(run.attempts())
+        assert (dt, t_new) == (tau, t_n + tau)
+        want = field(t_n + tau)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # at order 2 the same history gives the quadratic, with _extrapolate's bits
+        run.order = 2
+        quadratic = next(run.attempts())[3]
+        assert quadratic.tobytes() == _extrapolate(run.states[:3], run.gaps[:2], tau).tobytes()
+        assert np.max(np.abs(quadratic - want)) > 1e-3 * np.max(np.abs(want))
+
+    def test_rule_picks_cubic_on_a_cubic_trajectory(self):
+        run, seeds = _drive(_cubic_in_time((16, 16), 73), DTS)
+        assert run.order == 3
+        assert [k for k, _ in seeds] == [1, 2, 3, 4, 4, 4, 4, 4]
+
+    def test_rule_picks_quadratic_on_noise_at_the_solver_tolerance(self):
+        # the same trajectory, each state off by 1e-6, the acceptance run's
+        # tol_res: the cubic weights amplify the noise more than the
+        # quadratic's, so the cubic misses by more than half the quadratic
+        orders = []
+        for seed in range(5):
+            run, _ = _drive(_cubic_in_time((16, 16), 73), DTS, noise=1e-6, seed=seed)
+            orders.append(run.order)
+        assert orders == [2] * 5
+
+    def test_few_states_seed_as_before(self):
+        # one, two and three states give no seed, the line and the parabola,
+        # whatever the order says; the order takes effect with four
+        field = _cubic_in_time((8, 8), 74)
+        for order in (2, 3):
+            run = _Trajectory(field(0.0), 0.0, 1.0, DTS[0], 0.0, None)
+            run.order = order
+            for n, (_, dt, t_new, seed_) in zip(range(1, 4), run.attempts()):
+                assert len(run.states) == n
+                want = _extrapolate(run.states, run.gaps, dt)
+                if want is None:
+                    assert seed_ is None
+                else:
+                    assert seed_.tobytes() == want.tobytes()
+                run.accept(field(t_new), _record(t_new, dt), None)
+                run.dt = DTS[n]
+            assert run.order == order  # no fourth state yet: no choice made
+
     def test_rejected_attempts_stay_out_of_the_history(self, monkeypatch):
         # the shrink-and-redo set-up, with a growth bound dt can meet: the
         # first attempts are rejected by the rate bound, two later solves are
         # made to fail, and dt varies.  Every seed must be the extrapolation
-        # of the states the sink saw accepted, with their dt.  A fixed run
+        # of the states the sink saw accepted, with their dt, at the order
+        # this test derives from those states alone: cubic when the cubic
+        # extrapolation of the four states before an accepted one missed it
+        # by less than the ratio times the quadratic's miss.  A fixed run
         # from the same state goes through the same loop.
         g = Grid.square(16)
         ws = SpectralWorkspace(g)
         pp = PhysParams(eps=0.1, eta=2.0, lam=well_depth(0.9), p=1)
         phi = init_spinodal(g, seed=68)
-        probe, _ = step(phi, 2e-3, g, pp, CFG, ws)
+        probe, _, _ = step(phi, 2e-3, g, pp, CFG, ws)
         full_change = norm(probe - phi, g, "l2")
         acfg = AdaptiveConfig(
             dt_max=2e-3, rate_hi=full_change / 4, rate_lo=full_change / 8, dt_min=1e-10
         )
 
+        def extrapolation(accepted, k, dt, order):
+            """The order's extrapolation of the first k accepted states to dt past them."""
+            history = accepted[:k][::-1][:order + 1]
+            return _extrapolate([s for s, _ in history], [h for _, h in history[:-1]], dt)
+
+        def derived_orders(accepted):
+            """The order in force while k states are accepted, for each k."""
+            orders = [2] * (len(accepted) + 1)
+            for k in range(5, len(accepted) + 1):
+                new, dt = accepted[k - 1]
+                quadratic, cubic = (np.max(np.abs(new - extrapolation(accepted, k - 1, dt, o)))
+                                    for o in (2, 3))
+                orders[k] = 3 if cubic < _CUBIC_ERROR_RATIO * quadratic else 2
+            return orders
+
         def checked_seeds(run, failing=()):
-            """Run with a spy on the solver; check and return its seeds."""
+            """Run with a spy on the solver; check and return its seeds and orders."""
             accepted = [(phi, None)]
             seeds = []
 
@@ -339,30 +443,29 @@ class TestPredictor:
 
             monkeypatch.setattr(fchsim.dynamics, "psd_solve", spy)
             records, _ = run(lambda rec, phi_now: accepted.append((phi_now.copy(), rec.dt)))
+            orders = derived_orders(accepted)
             for k, dt, phi_init in seeds:
-                history = accepted[:k][::-1][:3]
-                want = _extrapolate(
-                    [s for s, _ in history], [h for _, h in history[:-1]], dt
-                )
+                want = extrapolation(accepted, k, dt, orders[k])
                 if want is None:
                     assert phi_init is None
                 else:
                     assert np.array_equal(phi_init, want)
-            return seeds, records
+            return seeds, records, [orders[k] for k, _, _ in seeds]
 
         failing = (20, 30)
-        seeds, records = checked_seeds(
+        seeds, records, orders = checked_seeds(
             lambda sink: advance_adaptive(phi, 1e-3, g, pp, acfg, CFG, ws, sink=sink),
             failing,
         )
         assert seeds[0][0] == seeds[1][0] == 1  # rejected by the rate bound
-        assert all(seeds[n - 1][0] >= 3 for n in failing)  # failed with a quadratic seed
+        assert all(seeds[n - 1][0] >= 4 for n in failing)  # failed with four states
         assert len({rec.dt for rec in records}) > 2
+        assert set(orders) == {2, 3}  # both orders seeded some attempt
 
-        seeds, _ = checked_seeds(
+        seeds, _, _ = checked_seeds(
             lambda sink: advance_fixed(phi, 1e-4, 6, g, pp, CFG, ws, sink=sink)
         )
-        # unseeded, then linear, then quadratic
+        # unseeded, then linear, then quadratic, then the chosen order
         assert [k for k, _, _ in seeds] == [1, 2, 3, 4, 5, 6]
         assert seeds[0][2] is None and seeds[1][2] is not None
 
@@ -453,7 +556,7 @@ class TestAdvanceAdaptive:
         ws = SpectralWorkspace(g)
         pp = PhysParams(eps=0.1, eta=2.0, lam=well_depth(0.9), p=1)
         phi = init_spinodal(g, seed=68)
-        probe, _ = step(phi, 2e-3, g, pp, CFG, ws)
+        probe, _, _ = step(phi, 2e-3, g, pp, CFG, ws)
         full_change = norm(probe - phi, g, "l2")
         acfg = AdaptiveConfig(
             dt_max=2e-3, rate_hi=full_change / 4, rate_lo=full_change / 1e6, dt_min=1e-10
@@ -584,15 +687,16 @@ class TestEachStateEvaluatedOnce:
 
     def test_each_piece_is_computed_once_per_step(self, monkeypatch):
         # per step: var_convex on terms built from the accepted state itself
-        # runs once (the solve's last residual), var_concave once (phi_n's
-        # right-hand side) and chemical_potential once; a residual on handed
-        # beta terms calls no beta
+        # runs once (the solve's last residual), var_concave once (the new
+        # state's, on the solve's terms, with the bits of one from scratch;
+        # phi_n's came from the step before) and chemical_potential once; a
+        # residual on handed beta terms calls no beta
         g, pp, cfg, phi0 = _spinodal_32()
         real_terms, real_convex = fchsim.energy.linear_terms, fchsim.energy.var_convex
         real_concave, real_beta = fchsim.energy.var_concave, fchsim.energy.beta
         real_mu, real_step = fchsim.dynamics.chemical_potential, fchsim.dynamics.step
         built = {}  # id -> (terms, bytes of the phi they were built from)
-        calls = {"convex": [], "concave": 0, "mu": 0, "beta": 0, "handed": 0}
+        calls = {"convex": [], "concave": [], "mu": 0, "beta": 0, "handed": 0}
         per_step = []
 
         def linear_terms(phi, grid):
@@ -613,6 +717,12 @@ class TestEachStateEvaluatedOnce:
                 assert terms.beta_prime.tobytes() == beta_prime(phi).tobytes()
             return out
 
+        def var_concave(phi, grid, pp, terms=None):
+            out = real_concave(phi, grid, pp, terms)
+            same = out.tobytes() == real_concave(phi, grid, pp).tobytes()
+            calls["concave"].append((phi.tobytes(), terms is not None, same))
+            return out
+
         def count(key, real):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
@@ -620,18 +730,18 @@ class TestEachStateEvaluatedOnce:
             return wrapper
 
         def step(phi, *args, **kwargs):
-            calls.update(convex=[], concave=0, mu=0)
-            phi_new, rec = real_step(phi, *args, **kwargs)
+            calls.update(convex=[], concave=[], mu=0)
+            phi_new, rec, concave_new = real_step(phi, *args, **kwargs)
             at_new = sum(scratch for b, scratch in calls["convex"] if b == phi_new.tobytes())
-            per_step.append((at_new, calls["concave"], calls["mu"]))
-            return phi_new, rec
+            on_terms = calls["concave"] == [(phi_new.tobytes(), True, True)]
+            per_step.append((at_new, on_terms, calls["mu"]))
+            return phi_new, rec, concave_new
 
         monkeypatch.setattr(fchsim.energy, "linear_terms", linear_terms)
         monkeypatch.setattr(fchsim.solver, "linear_terms", linear_terms)
         monkeypatch.setattr(fchsim.energy, "var_convex", var_convex)
-        concave = count("concave", real_concave)
-        monkeypatch.setattr(fchsim.energy, "var_concave", concave)
-        monkeypatch.setattr(fchsim.dynamics, "var_concave", concave)
+        monkeypatch.setattr(fchsim.energy, "var_concave", var_concave)
+        monkeypatch.setattr(fchsim.dynamics, "var_concave", var_concave)
         monkeypatch.setattr(fchsim.energy, "beta", count("beta", real_beta))
         monkeypatch.setattr(fchsim.dynamics, "chemical_potential", count("mu", real_mu))
         monkeypatch.setattr(fchsim.dynamics, "step", step)
@@ -639,5 +749,5 @@ class TestEachStateEvaluatedOnce:
             phi0, 0.002, g, pp, AdaptiveConfig(dt_max=2e-4), cfg, SpectralWorkspace(g)
         )
         assert len(per_step) >= len(records) == 10
-        assert per_step == [(1, 1, 1)] * len(per_step)
+        assert per_step == [(1, True, 1)] * len(per_step)
         assert calls["handed"] > 0
