@@ -39,21 +39,34 @@ its own, and each point of mu takes the same operations whatever block it
 is in, so the forcing is bit-identical to one 2D transform of mu evaluated
 on the whole lattice from the same samples.
 
-mu is evaluated on one quarter of the lattice only.  Phi changes sign
+mu is evaluated on about one sixteenth of the lattice.  Phi changes sign
 under a half-period shift of x or of y, and mu is odd in Phi (beta and
 beta'' are odd, beta' and |grad Phi|^2 even), so mu changes sign under the
-same shifts.  On an axis with an even number m of lattice points, the point
-i + m/2 lies half a period from i, and its sin/cos samples are taken as
-the exact negations of those at i.  Rounding to nearest is symmetric in
-sign, so mu there is exactly the negation of mu at i, and pocketfft gives
-rfft(-v) = -rfft(v) bit for bit: the second half of each row is filled by
-negating the first before the row transform, and the second half of the
-band rows by negating the first before the column transform.  An axis with
-an odd number of points mirrors nothing and is evaluated whole.
+same shifts.  Under the reflection x -> 1/2 - x, sin(2 pi x) is unchanged
+and cos(2 pi x) changes sign, which |grad Phi|^2 squares away, so mu is
+even; under y -> 1/2 - y, Phi changes sign, so mu is odd.  On an axis with
+an even number m of lattice points, point i sits at (i + R/2)/m: the point
+i + m/2 lies half a period from i, and m/2 - R - i is its image under the
+reflection.  Each axis is sampled on [k, m/2) only, with k = (m/2 - R + 1)
+// 2.  An index below k takes its image's sin and negated cos, and an index
+from m/2 on the negated samples of the one half a period before.  Rounding
+to nearest is symmetric in sign, so mu at every copied point is exactly
+mu, or its negation, at an evaluated one, and pocketfft gives equal
+transforms of equal rows and rfft(-v) = -rfft(v) bit for bit.  So in each
+block the columns below k are filled by a negated, reversed copy and those
+from m/2 on by negation before the row transform, the band rows below k
+take their images' transformed rows, and the band rows from m/2 on are the
+negations of the first ones before the column transform.  The midpoint
+(m/2 - R)/2 of a point and its image, where it is a lattice point, is
+evaluated: its cos is a rounded zero, which a negated copy would flip.  The
+R - 1 points between m/2 - R and m/2 have their images in the second half,
+which the half-period shift already fills.  An axis with an odd number of
+points mirrors nothing and is evaluated whole.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -105,6 +118,11 @@ class Scenario:
 def _require_unit_square(grid: Grid, what: str) -> None:
     if grid.ndim != 2 or any(abs(l - 1.0) > 1e-12 for l in grid.lengths):
         raise ValueError(f"{what} needs the unit square, got lengths {grid.lengths}")
+
+
+def _require_finite_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
 
 
 def init_pearling(
@@ -162,40 +180,60 @@ def init_spinodal(grid: Grid, seed: int) -> np.ndarray:
 def manufactured_state(grid: Grid, t: float) -> np.ndarray:
     """Exact test solution sin(2 pi x) cos(2 pi y) cos(t) / pi at cell centers."""
     _require_unit_square(grid, "manufactured solution")
+    _require_finite_time(t)
     x, y = grid.mesh()
     return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.cos(t) / np.pi)
 
 
-# Lattice points per block of rows in ``manufactured_forcing``: each block
-# of rows is evaluated on its first e1 columns and transformed whole, and its
-# buffers take 448 KiB at 32 rows of 512, inside a core's L2 cache.  A sweep
-# of the forcing at n = 128 (a 512-wide lattice evaluated on 256 columns,
-# 2 vCPU Xeon, one BLAS thread, best of 7 repeats of 20 calls, two passes)
-# read 4.0-4.3 ms per call at 8 rows, 3.3-3.7 ms at 16, 2.9-3.6 ms at 32,
-# 2.6-3.5 ms at 64, 3.6 ms at 128 and 4.5-4.7 ms at 256, the whole
-# evaluated quarter in one block.
-_BLOCK_POINTS = 32 * 512
+# Lattice points per block of rows in ``manufactured_forcing``: mu on each
+# block of evaluated rows is evaluated on the evaluated columns, and the
+# block's rows are transformed at once.  At
+# n = 128 (130 of a 512-point axis evaluated) 22 rows make six blocks whose
+# three buffers take 243 KiB, none above glibc's default 128 KiB mmap
+# threshold.  A sweep of the forcing at n = 128 (2 vCPU Xeon, one BLAS
+# thread, the sizes taken in turn in one process, best of 9 rounds of 20
+# calls, two to four passes) read 3.0-3.2 ms per call at 8 rows, 2.3-2.7 ms
+# at 16, 2.1-2.9 ms anywhere from 20 to 65 rows, flat within the host's
+# noise, and 2.6 ms at 130, the evaluated rows in one block.  Minor faults
+# per call were 257 up to 22 rows, 321 at 32 and 616 at 130.  On the
+# manufactured-128 workload 22 rows read 3-7 % lower ``step_ms_p50`` than 32
+# in four of four alternated pairs, and 10.8-11.1 ms against 11.1-11.2 ms
+# at 44 rows and 11.2-11.6 ms at 65 over five rounds.
+_BLOCK_POINTS = 22 * 512
 
 
-def _mirror_start(m: int) -> int:
-    """First lattice index whose value is mirrored: m/2 on an even axis, where
-    the index i + m/2 lies half a period from i, and m (none) on an odd one."""
-    return m if m % 2 else m // 2
+def _evaluated_span(m: int, R: int) -> tuple[int, int]:
+    """Lattice indices [k, e) whose values are evaluated on an axis of m points.
+
+    On an even axis the index m/2 - R - i is the image of i under the
+    reflection x -> 1/2 - x, and i + m/2 lies half a period from i.  The
+    indices below k = (m/2 - R + 1) // 2 are the images of indices in
+    [k, m/2 - R], and those from e = m/2 on are shifts of the first half.
+    An odd axis mirrors nothing: k = 0 and e = m.
+    """
+    if m % 2:
+        return 0, m
+    return (m // 2 - R + 1) // 2, m // 2
 
 
 def _axis_samples(n: int, length: float, R: int) -> np.ndarray:
     """sin and cos of 2 pi x on one refined lattice axis, as two rows.
 
-    The lattice has R*n points offset by half a simulation cell.  From the
-    mirror start on, each value is the exact negation of the one half a
-    period before it, so the negation of mu on the first half is exact.
+    The lattice has R*n points offset by half a simulation cell.  Only the
+    evaluated span [k, e) is sampled.  Each index i below k takes the sin
+    of its image r - i (r = m/2 - R) and the negated cos, and from e on
+    each value is the negation of the one half a period before it, so mu
+    at every copied point is an exact copy or negation of an evaluated one.
     """
     m = R * n
-    e = _mirror_start(m)
-    x = (np.arange(e) / m + 0.5 / n) * length
+    k, e = _evaluated_span(m, R)
+    r = e - R
+    x = (np.arange(k, e) / m + 0.5 / n) * length
     out = np.empty((2, m))
-    np.sin(2 * np.pi * x, out=out[0, :e])
-    np.cos(2 * np.pi * x, out=out[1, :e])
+    np.sin(2 * np.pi * x, out=out[0, k:e])
+    np.cos(2 * np.pi * x, out=out[1, k:e])
+    out[0, :k] = out[0, r : r - k : -1]
+    np.negative(out[1, r : r - k : -1], out=out[1, :k])
     np.negative(out[:, : m - e], out=out[:, e:])
     return out
 
@@ -288,14 +326,17 @@ def manufactured_forcing(
     transforms each row and each column on its own, while each point of mu
     takes the same operations in the same order whatever block it is in.
 
-    mu is evaluated on the lattice rows [0, e0) and columns [0, e1) only,
-    where e = m/2 on an axis of even length m and e = m on an odd one,
-    which mirrors nothing.  The columns from e1 on are filled by negating
-    the first ones before each row transform, and the band rows from e0 on
-    by negating the first ones before the column transform; the module
-    docstring says why these copies are exact.
+    mu is evaluated on the lattice rows [k0, e0) and columns [k1, e1) only,
+    about a quarter of each axis (``_evaluated_span``; on an odd axis the
+    whole of it), and only those rows are transformed.  The columns below
+    k1 are filled by a negated, reversed copy of their images and those
+    from e1 by negating the first ones before each row transform.  The band
+    rows below k0 copy the transforms of their images, and those from e0
+    on are the negations of the first ones before the column transform.
+    The module docstring says why these copies are exact.
     """
     _require_unit_square(grid, "manufactured forcing")
+    _require_finite_time(t)
     try:
         R = operator.index(refine_factor)
     except TypeError:
@@ -308,7 +349,8 @@ def manufactured_forcing(
         )
     n0, n1 = grid.shape
     m0, m1 = R * n0, R * n1
-    e0, e1 = _mirror_start(m0), _mirror_start(m1)
+    (k0, e0), (k1, e1) = _evaluated_span(m0, R), _evaluated_span(m1, R)
+    r0, r1 = e0 - R, e1 - R
     half0, half1 = n0 // 2, n1 // 2
     (sin_x, cos_x), (sin_y, cos_y) = (
         _axis_samples(n, L, R) for n, L in zip(grid.shape, grid.lengths)
@@ -316,22 +358,24 @@ def manufactured_forcing(
     sin_x, cos_x = sin_x[:, None], cos_x[:, None]
     cos_t = np.cos(t)
 
-    rows = min(e0, max(1, _BLOCK_POINTS // m1))
-    blocks = np.empty((3, rows, e1))
+    rows = min(e0 - k0, max(1, _BLOCK_POINTS // m1))
+    blocks = np.empty((3, rows, e1 - k1))
     mu_block = np.empty((rows, m1))
     spec = np.empty((rows, m1 // 2 + 1), dtype=complex)
     band = np.empty((m0, half1), dtype=complex)
-    for lo in range(0, e0, rows):
+    for lo in range(k0, e0, rows):
         hi = min(lo + rows, e0)
         phi, grad_sq, work = blocks[:, : hi - lo]
         mu = mu_block[: hi - lo]
         _mu_rows(
-            sin_x[lo:hi], cos_x[lo:hi], sin_y[:e1], cos_y[:e1], cos_t, pp,
-            phi, grad_sq, work, mu[:, :e1],
+            sin_x[lo:hi], cos_x[lo:hi], sin_y[k1:e1], cos_y[k1:e1], cos_t, pp,
+            phi, grad_sq, work, mu[:, k1:e1],
         )
+        np.negative(mu[:, r1 : r1 - k1 : -1], out=mu[:, :k1])
         np.negative(mu[:, : m1 - e1], out=mu[:, e1:])
         np.fft.rfft(mu, axis=1, out=spec[: hi - lo])
         band[lo:hi] = spec[: hi - lo, :half1]
+    band[:k0] = band[r0 : r0 - k0 : -1]
     np.negative(band[: m0 - e0], out=band[e0:])
     np.fft.fft(band, axis=0, out=band)
 

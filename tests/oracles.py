@@ -395,24 +395,34 @@ def manufactured_forcing_reference(grid: Grid, t: float, pp, refine_factor: int 
 
 # The manufactured forcing evaluated on the whole refined lattice, in three
 # lattice buffers, with one 2D transform of mu: the reference that the
-# blocked ``fchsim.scenarios.manufactured_forcing``, which evaluates mu on a
-# quarter of the lattice, must match bit for bit.  Its axis samples follow
-# the same rule, and mu is evaluated at every lattice point.
+# blocked ``fchsim.scenarios.manufactured_forcing``, which evaluates mu on
+# about one sixteenth of the lattice, must match bit for bit.  Its axis
+# samples follow the same rule, and mu is evaluated at every lattice point.
 
 
 def _antisymmetric_axis(n: int, length: float, R: int) -> tuple[np.ndarray, np.ndarray]:
     """sin and cos of 2 pi x on a refined lattice axis of R*n points.
 
-    On an even axis the point i + m/2 lies half a period from i, and its
-    sample is taken as the exact negation of sample i instead of a second
-    sin/cos evaluation; an odd axis is sampled point by point.
+    On an even axis of m points, point i sits at (i + R/2)/m.  Its image
+    under x -> 1/2 - x is the point m/2 - R - i, and the point i + m/2 lies
+    half a period from i.  Below the midpoint of i and its image, a sample
+    is the copy of its image's (sin equal, cos negated); from m/2 on it is
+    the negation of the sample half a period before.  Every other point,
+    and every point of an odd axis, is sampled on its own.
     """
     m = R * n
     x = (np.arange(m) / m + 0.5 / n) * length
     sin, cos = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)
     if m % 2 == 0:
-        sin[m // 2:] = -sin[: m // 2]
-        cos[m // 2:] = -cos[: m // 2]
+        half = m // 2
+        for i in range(half):
+            image = half - R - i
+            if i < image:
+                sin[i] = sin[image]
+                cos[i] = -cos[image]
+        for i in range(half, m):
+            sin[i] = -sin[i - half]
+            cos[i] = -cos[i - half]
     return sin, cos
 
 

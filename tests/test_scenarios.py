@@ -197,14 +197,19 @@ class TestManufacturedForcing:
             assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
 
     @pytest.mark.parametrize(
-        "shape", [(5, 7), (15, 15), (16, 24), (33, 17), (16, 15)], ids=lambda s: f"{s[0]}x{s[1]}"
+        "shape",
+        [(5, 7), (15, 15), (16, 24), (33, 17), (16, 15), (16, 16), (6, 6)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
     )
     @pytest.mark.parametrize("refine", [4, np.int64(5), 8], ids=["R4", "R5-int64", "R8"])
     @pytest.mark.parametrize("block_points", [None, 300], ids=["block-default", "block300"])
     def test_blocks_match_whole_lattice_bit_for_bit(self, shape, refine, block_points, monkeypatch):
         # row blocks that do not divide the lattice (300 points give blocks
-        # of 1 to 10 rows here), odd and unequal sizes; eps = 0.3 makes
-        # powers of eps inexact, so folded constants show
+        # of 1 to 10 rows here), odd and unequal sizes; 16 x 16 at R = 5 puts
+        # the lattice half a point off the reflection's axis (m = 80, no
+        # fixed point), 15 x 15 at R = 4 has odd cell counts on an even
+        # lattice and 6 x 6 at R = 4 a first half of only 12 points; eps =
+        # 0.3 makes powers of eps inexact, so folded constants show
         if block_points is not None:
             monkeypatch.setattr(scenarios, "_BLOCK_POINTS", block_points)
         g = Grid(shape, (1.0, 1.0))
@@ -213,40 +218,80 @@ class TestManufacturedForcing:
                 S = manufactured_forcing(g, t, pp, refine)
                 assert S.tobytes() == whole_lattice_forcing(g, t, pp, refine).tobytes()
 
-    @pytest.mark.parametrize(
-        "shape, refine, points",
-        [
-            ((16, 16), 4, 32 * 32),  # even x even: one quarter
-            ((5, 7), 5, 25 * 35),  # odd x odd: the whole lattice
-            ((16, 15), 5, 40 * 75),  # 80 x 75: half the rows, every column
-            ((15, 15), 4, 30 * 30),  # odd cell counts, even lattice
-        ],
-        ids=["16x16-R4", "5x7-R5", "16x15-R5", "15x15-R4"],
-    )
-    def test_mu_is_evaluated_on_the_unmirrored_part(self, shape, refine, points, monkeypatch):
+    # (shape, R, evaluated rows, evaluated columns): an even axis of m
+    # points evaluates [k, m/2) with k = (m/2 - R + 1) // 2, an odd one all
+    # of it
+    UNMIRRORED = [
+        ((16, 16), 4, 32 - 14, 32 - 14),  # m = 64: k = 14
+        ((16, 16), 5, 40 - 18, 40 - 18),  # m = 80: k = 18, no fixed point
+        ((5, 7), 5, 25, 35),  # odd x odd: the whole lattice
+        ((16, 15), 5, 40 - 18, 75),  # 80 x 75: every column
+        ((15, 15), 4, 30 - 13, 30 - 13),  # odd cell counts, m = 60: k = 13
+        ((6, 6), 4, 12 - 4, 12 - 4),  # m = 24: k = 4
+        ((128, 128), 4, 256 - 126, 256 - 126),  # m = 512: k = 126
+    ]
+    UNMIRRORED_IDS = ["16x16-R4", "16x16-R5", "5x7-R5", "16x15-R5", "15x15-R4", "6x6-R4", "128x128-R4"]
+
+    @pytest.mark.parametrize("shape, refine, rows, cols", UNMIRRORED, ids=UNMIRRORED_IDS)
+    def test_mu_is_evaluated_on_the_unmirrored_part(self, shape, refine, rows, cols, monkeypatch):
         evaluated = []
         mu_rows = scenarios._mu_rows
 
         def spy(*args):
-            evaluated.append(args[-1].size)
+            evaluated.append(args[-1].shape)
             mu_rows(*args)
 
         monkeypatch.setattr(scenarios, "_mu_rows", spy)
         manufactured_forcing(Grid(shape, (1.0, 1.0)), 0.37, PP_CONV, refine)
-        assert sum(evaluated) == points
+        assert sum(r for r, _ in evaluated) == rows
+        assert {c for _, c in evaluated} == {cols}
 
-    @pytest.mark.parametrize("n, refine", [(16, 4), (15, 4), (16, 5), (15, 5), (7, 5)])
+    @pytest.mark.parametrize("shape, refine, rows, cols", UNMIRRORED, ids=UNMIRRORED_IDS)
+    def test_row_transform_sees_only_unmirrored_rows(self, shape, refine, rows, cols, monkeypatch):
+        transformed = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, **kwargs):
+            transformed.append(a.shape)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        manufactured_forcing(Grid(shape, (1.0, 1.0)), 0.37, PP_CONV, refine)
+        assert sum(r for r, _ in transformed) == rows
+        assert {c for _, c in transformed} == {refine * shape[1]}
+
+    @pytest.mark.parametrize(
+        "n, refine", [(16, 4), (15, 4), (16, 5), (15, 5), (7, 5), (6, 4), (128, 4)]
+    )
     def test_axis_samples_are_antisymmetric(self, n, refine):
         m = n * refine
         samples = scenarios._axis_samples(n, 1.0, refine)
         assert samples.shape == (2, m)
         x = np.arange(m) / m + 0.5 / n
+        exact = np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)])
         if m % 2:
-            assert samples.tobytes() == np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)]).tobytes()
-        else:
-            assert samples[:, m // 2:].tobytes() == np.negative(samples[:, : m // 2]).tobytes()
-            assert np.max(np.abs(samples[0] - np.sin(2 * np.pi * x))) <= 1e-14
-            assert np.max(np.abs(samples[1] - np.cos(2 * np.pi * x))) <= 1e-14
+            assert samples.tobytes() == exact.tobytes()
+            return
+        assert np.max(np.abs(samples - exact)) <= 1e-14
+        assert samples[:, m // 2:].tobytes() == np.negative(samples[:, : m // 2]).tobytes()
+        # x -> 1/2 - x maps point i to r - i: below their midpoint a
+        # sample is a copy of its image's, sin equal and cos negated
+        r = m // 2 - refine
+        low = np.arange((r + 1) // 2)
+        assert low.size and np.all(low < r - low)
+        assert samples[0, low].tobytes() == samples[0, r - low].tobytes()
+        assert samples[1, low].tobytes() == np.negative(samples[1, r - low]).tobytes()
+        if r % 2 == 0:
+            # the fixed point's cos is a rounded zero, evaluated and kept
+            assert samples[1, r // 2] == exact[1, r // 2] != 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        g = Grid.square(16)
+        with pytest.raises(ValueError, match="t must be finite"):
+            manufactured_forcing(g, t, PP_CONV, 4)
+        with pytest.raises(ValueError, match="t must be finite"):
+            manufactured_state(g, t)
 
     def test_peak_memory_is_a_few_coarse_fields(self):
         # the 512^2 lattice at n = 128 is never held whole: one lattice
