@@ -350,6 +350,7 @@ class _Trajectory:
 
 def _advance(phi, t0, t_end, grid, pp, acfg, cfg, ws, source_fn, sink):
     """The time loop of both drivers: accepted steps from t0 to t_end."""
+    phi = np.asarray(phi, dtype=float)  # every state of the run is float64
     dt = min(acfg.dt_init if acfg.dt_init is not None else acfg.dt_max, acfg.dt_max)
     run = _Trajectory(phi, t0, t_end, max(dt, acfg.dt_min), energy_total(phi, grid, pp).total,
                       var_concave(phi, grid, pp))

@@ -37,11 +37,12 @@ it on as an optional argument of the function that needs it.  This is the
 one list of those hand-offs:
 
 * ``linear_terms`` keeps lap phi, the intermediate of lap^2 phi.
-* The solver builds the terms once per solve and moves them along each
-  step phi + alpha d (the first two are linear in phi, gsq is quadratic),
-  so its residual at later iterates costs the pointwise beta terms, the
-  divergence term and one Laplacian.  Its line evaluation leaves beta and
-  beta' on the terms for the iterate it moves to (see ``fchsim.solver``).
+* The solver builds the terms from each iterate, into the arrays of the
+  terms of the iterate before it.  Its line evaluation computes beta and
+  beta' at the point it evaluates; when the step taken is that point
+  (nearly always), the solve hands them to the terms of the new iterate,
+  and the residual there takes them instead of computing them (see
+  ``fchsim.solver``).
 * var_convex takes beta(phi) and beta'(phi) from the terms when they are
   there, and records on the terms the ones it computes itself, and its
   result as ``terms.convex``.
@@ -120,32 +121,42 @@ class LinearTerms:
     """The stencil terms of var_convex at phi that do not involve beta.
 
     ``bilap`` is lap^2 phi, ``dphi`` holds the face differences D_axis phi
-    per axis and ``gsq`` is the cell field sum_axis avg(|D_axis phi|^2).  The
-    first two are linear in phi and ``gsq`` is quadratic, so the solver can
-    move all three along a step phi + alpha d without rebuilding them.
+    per axis, ``gsq`` is the cell field sum_axis avg(|D_axis phi|^2) and
+    ``lap`` is lap phi, the intermediate of ``bilap``.
 
     The other fields are pieces of phi that are known when they are not
-    None: ``lap`` is lap phi, ``beta`` and ``beta_prime`` are beta(phi) and
-    beta'(phi), and ``convex`` is var_convex(phi).  The module docstring
-    lists who sets and reads each.  Whoever moves the terms to another state
-    must set or drop them.
+    None: ``beta`` and ``beta_prime`` are beta(phi) and beta'(phi), and
+    ``convex`` is var_convex(phi).  The module docstring lists who sets and
+    reads each.
     """
 
     bilap: np.ndarray
     dphi: list[np.ndarray]
     gsq: np.ndarray
-    lap: np.ndarray | None = None
+    lap: np.ndarray
     beta: np.ndarray | None = None
     beta_prime: np.ndarray | None = None
     convex: np.ndarray | None = None
 
 
-def linear_terms(phi: np.ndarray, grid: Grid) -> LinearTerms:
-    """Build the LinearTerms of phi from its stencils, keeping lap phi."""
-    dphi = [face_diff(phi, grid, a) for a in range(grid.ndim)]
-    lap = laplacian(phi, grid)
-    bilap = laplacian(lap, grid)
-    gsq = cell_avg(dphi[0] * dphi[0], grid, 0)
+def linear_terms(
+    phi: np.ndarray, grid: Grid, out: LinearTerms | None = None
+) -> LinearTerms:
+    """Build the LinearTerms of phi from its stencils, keeping lap phi.
+
+    ``out`` may be spent LinearTerms on the same grid, which nothing reads
+    any more: the new terms are built into its arrays, with the bits of a
+    build into fresh ones, and returned with no other piece set.
+    """
+    if out is None:
+        lap = bilap = gsq = None
+        dphi = [None] * grid.ndim
+    else:
+        lap, bilap, gsq, dphi = out.lap, out.bilap, out.gsq, out.dphi
+    dphi = [face_diff(phi, grid, a, out=da) for a, da in enumerate(dphi)]
+    lap = laplacian(phi, grid, out=lap)
+    bilap = laplacian(lap, grid, out=bilap)
+    gsq = cell_avg(dphi[0] * dphi[0], grid, 0, out=gsq)
     for a in range(1, grid.ndim):
         gsq += cell_avg(dphi[a] * dphi[a], grid, a)
     return LinearTerms(bilap, dphi, gsq, lap)
@@ -156,10 +167,10 @@ def energy_total(
 ) -> EnergyBreakdown:
     """Full energy with its split and the CH / Willmore diagnostics.
 
-    ``terms`` may carry the LinearTerms of phi with ``lap`` set, as
-    ``linear_terms`` builds them; they are built from phi when not given.
-    lap phi, D phi and avg(|D phi|^2) are read from them, and beta'(phi)
-    too when they carry it.  beta(phi) always comes from ``mixing_family``.
+    ``terms`` may carry the LinearTerms of phi; they are built from phi
+    when not given.  lap phi, D phi and avg(|D phi|^2) are read from them,
+    and beta'(phi) too when they carry it.  beta(phi) always comes from
+    ``mixing_family``.
     """
     require_admissible(phi, "energy argument")
     B, F, b = mixing_family(phi, pp)
@@ -233,8 +244,8 @@ def var_concave(
 ) -> np.ndarray:
     """Variational derivative of the concave energy part.
 
-    ``terms`` may carry the LinearTerms of phi with lap, beta and beta_prime
-    set, as the solve returns them; the result then needs no stencil and no
+    ``terms`` may carry the LinearTerms of phi with beta and beta_prime set,
+    as the solve returns them; the result then needs no stencil and no
     logarithm, and has the bits of the one from phi.  Without them the
     pieces are computed from phi, and the beta kernels raise
     PotentialDomainError on an inadmissible phi.

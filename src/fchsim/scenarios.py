@@ -134,8 +134,8 @@ def init_pearling(
     the center and the background tends to -A; with A = ``PEARLING_AMPLITUDE``
     = 0.9 the range stays inside [-0.9, 0.9].
     """
-    if ell <= 0:
-        raise ValueError(f"interface width factor ell must be positive, got {ell}")
+    if not 0 < ell < math.inf:
+        raise ValueError(f"interface width factor ell must be positive and finite, got {ell}")
     _require_unit_square(grid, "pearling initial condition")
     x, y = grid.mesh()
     dist = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2)

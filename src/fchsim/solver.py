@@ -43,36 +43,25 @@ so the iterate keeps a fraction of its current distance to the pure states
 the capped step is taken (it still decreases the objective) and later
 iterations re-center.
 
-The iteration carries one iterate state: phi and its LinearTerms (lap^2 phi,
-the face differences D phi per axis and gsq = sum_axis avg(|D phi|^2), see
-``fchsim.energy``).  They are built from phi once, at the first iterate.
-Each iteration, ``psd_solve`` builds a ``LineObjective`` on them: it reads
-its phi side from the terms and computes only the d side (lap d, lap^2 d,
-D d and the gsq coefficients B and C).  ``line_minimize`` finds alpha on
-that objective and moves nothing; ``psd_solve`` then moves the state in
-place by the step taken with ``LineObjective.advance``,
-
-    lap^2 phi += alpha lap^2 d,   D phi += alpha D d,
-    gsq += alpha (2 B + alpha C),
-
-and the residual at the next iterate uses the moved terms.  The line
-evaluation computes beta and beta' at the point it evaluates with the
-kernels of ``potential.beta`` and ``beta_prime``; when the step taken is
-the last point evaluated (nearly always), ``advance`` hands them to the
-terms, and the next residual takes them instead of computing them.
-The moved terms drift from a rebuild by round-off, so only a residual from
-scratch may end a solve: when the carried residual meets the tolerance, the
-terms are built again from phi and N(phi) is recomputed on them, and only
-that residual can stop the iteration and be reported.  If it misses, the
-iteration goes on from those terms.
+Each iterate phi carries its LinearTerms (lap^2 phi, lap phi, the face
+differences D phi per axis and gsq = sum_axis avg(|D phi|^2), see
+``fchsim.energy``), built from phi itself, so every residual is the one
+from scratch.  Each iteration, ``psd_solve`` builds a ``LineObjective`` on
+them: it reads its phi side from the terms and computes only the d side
+(lap d, lap^2 d, D d and the gsq coefficients B and C).  ``line_minimize``
+finds alpha on that objective and moves nothing; ``psd_solve`` then steps
+phi and builds the terms of the new iterate into the arrays of the old
+ones.  The line evaluation computes beta and beta' at the point it
+evaluates with the kernels of ``potential.beta`` and ``beta_prime``; when
+the step taken is the last point evaluated (nearly always), ``psd_solve``
+hands them to the new terms, and the next residual takes them instead of
+computing them.
 
 The first objective of a solve allocates its fields (15 in 2D); each later
 one takes over the fields of the spent one, in the same roles.  The beta pair
 the spent objective handed to the terms is among them: the next residual has
 read it by the time the next objective is built, and that objective drops it
-from the terms, with the residual's var_convex.  The solve lets go of the
-last objective before the residual from scratch runs, so its fields are
-freed.
+from the terms, with the residual's var_convex.
 
 What the solve takes from the step and hands back to it is listed in the
 ``fchsim.energy`` module docstring.
@@ -167,7 +156,7 @@ class SolveReport:
     searches that ran out of their evaluation budget inside a valid bracket
     and took the best point seen instead of a root within ``ls_tol``.
     ``terms`` holds the LinearTerms of the returned state, built from it,
-    with lap, beta, beta_prime and convex set by the residual that ended the
+    with beta, beta_prime and convex set by the residual that ended the
     solve (see ``fchsim.energy`` for who reads them).
     """
 
@@ -248,10 +237,11 @@ class LineObjective:
     divergence-form terms are moved onto faces by summation-by-parts.  The
     phi side comes from ``terms``, the LinearTerms of phi (built from phi
     when not given); only the d side is computed here.  Evaluations work in
-    place in five scratch fields of the objective; two of them keep beta and
-    beta' of the point last evaluated, for ``advance``.  ``floor`` holds the
-    round-off of the value last returned: 16 eps_machine times the summed
-    magnitudes of the terms it adds up.
+    place in five scratch fields of the objective; two of them,
+    ``beta_pair``, keep beta and beta' of phi + at d, where ``at`` is the
+    point last evaluated (None until an evaluation returns).  ``floor``
+    holds the round-off of the value last returned: 16 eps_machine times
+    the summed magnitudes of the terms it adds up.
 
     Building the objective drops the beta pair and var_convex of ``terms``.
     Its fields (15 in 2D) are allocated, or taken over from the private
@@ -277,7 +267,6 @@ class LineObjective:
         self.d = d
         self.grid = grid
         self.pp = pp
-        self.terms = terms
         # five scratch fields, B, C, lap d, lap^2 d and, per axis, D d, p and q
         if _spent is None:
             self._fields = [np.empty(phi.shape) for _ in range(9 + 3 * grid.ndim)]
@@ -285,7 +274,8 @@ class LineObjective:
             self._fields = _spent._fields
         field = iter(self._fields).__next__
         self._work = [field() for _ in range(5)]
-        self._at = None
+        self.beta_pair = self._work[3:]
+        self.at = None
         # The evaluation scratch is free until the first evaluation, and the
         # Laplacians work in B and C, which are written last.
         work, spare = self._work[2:4]
@@ -305,19 +295,18 @@ class LineObjective:
             _dot(d, d) / dt - pp.eps**4 * _dot(bilap_d, lap_d) - c_quad * _dot(d, lap_d)
         )
         self.lap_d = lap_d
-        self._bilap_d = bilap_d
         # Face data for the nonlinear gradient terms: D d, and the products
         # of D phi and D d with D(lap d) the per-axis face inner products need.
-        self._dd = [face_diff(d, grid, a, out=field()) for a in range(grid.ndim)]
+        dds = [face_diff(d, grid, a, out=field()) for a in range(grid.ndim)]
         self._face_p = []
         self._face_q = []
         for a in range(grid.ndim):
             dlap = face_diff(lap_d, grid, a, out=field())
             self._face_p.append(np.multiply(terms.dphi[a], dlap, out=field()))
-            dlap *= self._dd[a]
+            dlap *= dds[a]
             self._face_q.append(dlap)
         # avg(|D phi_a|^2) = A + alpha (2 B + alpha C), summed over axes.
-        for a, dd in enumerate(self._dd):
+        for a, dd in enumerate(dds):
             for total, factor in ((B, terms.dphi[a]), (C, dd)):
                 np.multiply(factor, dd, out=work)
                 if a == 0:
@@ -336,7 +325,7 @@ class LineObjective:
     def __call__(self, alpha: float) -> float:
         pp = self.pp
         self.evals += 1
-        self._at = None
+        self.at = None
         phi_a, avg, work, b, b1 = self._work
         np.multiply(self.d, alpha, out=phi_a)
         phi_a += self.phi
@@ -347,17 +336,18 @@ class LineObjective:
         _beta_prime(phi_a, b1)
         _beta(phi_a, b, work)
         # Pointwise var_convex terms against lap(d): b b1 + eps^2 b2 gsq
-        # = b1 (b + eps^2 phi_a b1 gsq), with gsq = A + alpha (2 B + alpha C).
-        gsq = np.multiply(self._gsq_c, alpha, out=work)
-        gsq += self._gsq_2b
-        gsq *= alpha
-        gsq += self._gsq_a
+        # = b1 (b + eps^2 phi_a b1 gsq), with gsq = A + alpha (2 B + alpha C),
+        # built in place in ``point``.
+        point = np.multiply(self._gsq_c, alpha, out=work)
+        point += self._gsq_2b
+        point *= alpha
+        point += self._gsq_a
         phi_a *= pp.eps**2
-        gsq *= phi_a
-        gsq *= b1
-        gsq += b
-        gsq *= b1
-        pointwise = -self._vol * _dot(gsq, self.lap_d)
+        point *= phi_a
+        point *= b1
+        point += b
+        point *= b1
+        pointwise = -self._vol * _dot(point, self.lap_d)
         # Divergence term moved onto faces: <lap d, d_a(avg(b1) Dphi_a)>
         # = -[D_a lap d, avg(b1) Dphi_a]; it enters var_convex with factor -2,
         # and var_convex enters g negated, giving -2 overall.  Per axis the
@@ -372,33 +362,8 @@ class LineObjective:
         self.floor = _FLOOR_ULPS * (
             abs(self._lin0) + abs(linear) + abs(pointwise) + abs(face)
         )
-        self._at = alpha
+        self.at = alpha
         return self._lin0 + linear + pointwise - face
-
-    def advance(self, alpha: float) -> None:
-        """Move ``terms`` in place to phi + alpha d; the objective is spent after.
-
-        bilap += alpha lap^2 d, dphi += alpha D d and gsq += alpha (2 B + alpha C),
-        with the d-side arrays scaled in place so that nothing is allocated.
-        lap phi is dropped.  When alpha is the last point evaluated, that
-        evaluation's beta and beta' are those of phi + alpha d (d alpha + phi
-        rounds like phi + alpha d) and are handed to the terms; otherwise the
-        terms drop theirs.  The next objective may take over the fields.
-        """
-        terms = self.terms
-        terms.lap = None
-        if alpha == self._at:
-            terms.beta, terms.beta_prime = self._work[3:]
-        else:
-            terms.beta = terms.beta_prime = None
-        terms.bilap += np.multiply(self._bilap_d, alpha, out=self._bilap_d)
-        for dphi, dd in zip(terms.dphi, self._dd):
-            dphi += np.multiply(dd, alpha, out=dd)
-        step = self._gsq_c
-        step *= alpha
-        step += self._gsq_2b
-        step *= alpha
-        terms.gsq += step
 
 
 def line_minimize(
@@ -518,9 +483,7 @@ def psd_solve(
     preconditioned residual <z, r> grows, and when the conjugate direction is
     not a descent direction (see the module docstring).  The returned state
     has the same mean as phi_n to round-off (every search direction is
-    mean-zero) and is strictly admissible.  The iterations in between use
-    the carried iterate state; only a residual recomputed from scratch ends
-    the solve and is reported (see the module docstring).
+    mean-zero) and is strictly admissible.
 
     ``phi_init`` may supply a better starting iterate (the time loop of
     both drivers passes the quadratic or cubic extrapolation of the last
@@ -536,11 +499,13 @@ def psd_solve(
     the stiffest modes and moves the state by a vanishing amount.
 
     ``concave`` may carry var_concave(phi_n), for ``rhs_explicit``, which
-    also checks that dt is positive.
+    also checks that dt is positive.  The solve works in float64 whatever
+    the dtype of ``phi_n``.
     ``phi_n``, ``phi_init``, ``source`` and ``concave`` must have the grid's
     shape, and ``ws`` must be built on ``grid``; otherwise a ValueError
     names the argument.
     """
+    phi_n = np.asarray(phi_n, dtype=float)  # the iteration runs in float64
     for name, arr in (("phi_n", phi_n), ("phi_init", phi_init), ("source", source),
                       ("concave", concave)):
         if arr is not None and np.shape(arr) != grid.shape:
@@ -579,16 +544,8 @@ def psd_solve(
     d = r_prev = g = None
     zr_prev = 0.0
     for it in range(cfg.max_iter + 1):
-        # Terms built from phi (it == 0) give the from-scratch residual.
         r = f - nonlinear_map(phi, dt, grid, pp, terms)
         res = norm(r, grid)
-        if res <= tol and it > 0:
-            # Carried terms drift by round-off, so only a residual from
-            # scratch may end the solve.  If it misses, go on from its terms.
-            g = None  # frees its fields; objectives after this allocate anew
-            terms = linear_terms(phi, grid)
-            r = f - nonlinear_map(phi, dt, grid, pp, terms)
-            res = norm(r, grid)
         if res <= tol:
             report = SolveReport(it, res, ls_evals, 1.0 - _sup(phi), restarts, exhausted, terms)
             return phi, report
@@ -620,8 +577,11 @@ def psd_solve(
                 residual=res,
                 iterations=it,
             )
-        g.advance(alpha)
         alpha_prev = alpha
         phi += alpha * d
+        terms = linear_terms(phi, grid, out=terms)
+        if alpha == g.at:
+            # d alpha + phi, where g evaluated, rounds like phi + alpha d
+            terms.beta, terms.beta_prime = g.beta_pair
         r_prev, zr_prev = r, zr
     raise AssertionError("unreachable")

@@ -119,6 +119,40 @@ def test_each_state_is_evaluated_in_one_place():
     assert "linear_terms" in called
 
 
+def test_each_iterate_builds_its_terms_in_one_place():
+    # linear_terms alone writes the stencil arrays of LinearTerms, so no
+    # terms are moved from one state to another in place, and psd_solve
+    # takes every iterate's terms from it
+    stencil = {"bilap", "dphi", "gsq"}
+    package = Path(fchsim.__file__).parent
+    writes = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        builder = {n for top in tree.body if getattr(top, "name", None) == "linear_terms"
+                   for n in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = [t for target in node.targets for t in ast.walk(target)
+                           if isinstance(t, (ast.Attribute, ast.Subscript))]
+            elif isinstance(node, ast.keyword) and node.arg == "out":
+                targets = [node.value]
+            else:
+                continue
+            named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for target in targets for n in ast.walk(target)}
+            if named & stencil and node not in builder:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert not writes, f"stencil terms written in place outside linear_terms: {writes}"
+    sources = [n.value for n in ast.walk(_function("solver", "psd_solve"))
+               if isinstance(n, ast.Assign)
+               and any(getattr(t, "id", None) == "terms" for t in n.targets)]
+    built = [isinstance(v, ast.Call) and getattr(v.func, "id", None) == "linear_terms"
+             for v in sources]
+    assert built and all(built), "psd_solve takes terms from elsewhere than linear_terms"
+
+
 def _function(module: str, name: str) -> ast.FunctionDef:
     tree = ast.parse((Path(fchsim.__file__).parent / f"{module}.py").read_text())
     (body,) = [n for n in tree.body if getattr(n, "name", None) == name]

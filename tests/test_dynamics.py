@@ -502,6 +502,28 @@ class TestDriverArguments:
                 args[name] = value
                 advance_fixed(phi, args["dt"], args["n_steps"], g, PP, CFG, ws, t0=args["t0"])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_a_state_of_any_dtype_runs_in_float64(self, dtype):
+        # a float32 spinodal state, and the zero state as ints under a
+        # forcing, give the bits of the same values passed as float64
+        if dtype is np.float32:
+            g, pp, _, phi0 = _spinodal_32()
+            cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-6)
+            dt, n_steps, source_fn = 2e-4, 3, None
+        else:
+            scn = preset("convergence", n=16)
+            g, pp, cfg, phi0 = scn.grid, scn.phys, CFG, np.zeros(scn.grid.shape)
+            dt, n_steps = 16.0 * g.spacing[0] ** 2, 2
+            source_fn = lambda t: manufactured_forcing(g, t, pp, 4)
+        state = phi0.astype(dtype)
+        runs = [advance_fixed(phi, dt, n_steps, g, pp, cfg, SpectralWorkspace(g),
+                              source_fn=source_fn)
+                for phi in (state, state.astype(float))]
+        (got, phi_got), (want, phi_want) = runs
+        assert max(rec.psd_iters for rec in want) > 0
+        assert phi_got.dtype == np.float64 and phi_got.tobytes() == phi_want.tobytes()
+        assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
+
 
 class TestAdvanceAdaptive:
     def test_zero_horizon(self):
@@ -699,8 +721,8 @@ class TestEachStateEvaluatedOnce:
         calls = {"convex": [], "concave": [], "mu": 0, "beta": 0, "handed": 0}
         per_step = []
 
-        def linear_terms(phi, grid):
-            terms = real_terms(phi, grid)
+        def linear_terms(phi, grid, out=None):
+            terms = real_terms(phi, grid, out)
             built[id(terms)] = (terms, phi.tobytes())
             return terms
 

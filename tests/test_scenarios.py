@@ -66,8 +66,9 @@ class TestPearling:
             assert np.max(phi) <= 0.9 + 1e-12
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            init_pearling(Grid.square(16), ell=0.0, eps=0.03)
+        for ell in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ell must be positive"):
+                init_pearling(Grid.square(16), ell=ell, eps=0.03)
         with pytest.raises(ValueError):
             init_pearling(Grid((16, 16), (2.0, 2.0)), ell=0.3, eps=0.03)
 

@@ -163,14 +163,16 @@ class TestLineSearch:
         f = rhs_explicit(phi, dt, g, PP)
         terms = None
         if fed:
-            # the terms a solve carries: built at phi, then moved by one step
+            # the terms a solve holds after one step: rebuilt at phi + alpha d
+            # into the arrays of the ones at phi, with the handed beta pair
             terms = linear_terms(phi, g)
             d = precond_solve(f - nonlinear_map(phi, dt, g, PP), dt, PP, CFG, ws)
             obj = LineObjective(phi, d, f, dt, g, PP, terms)
             alpha, _ = line_minimize(obj, CFG)
-            obj.advance(alpha)
             phi = phi + alpha * d
-        r = f - nonlinear_map(phi, dt, g, PP)
+            terms = _terms_after_step(obj, alpha, phi, terms, g)
+            assert terms.beta is not None
+        r = f - nonlinear_map(phi, dt, g, PP, terms)
         d = precond_solve(r, dt, PP, CFG, ws)
         obj = LineObjective(phi, d, f, dt, g, PP, terms)
         cap = admissible_step_cap(phi, d, CFG.ls_margin)
@@ -467,27 +469,28 @@ class TestLineSearchRule:
         assert report.line_search_evals == spent["new"] <= spent["reference"]
 
 
-def _lie_once(monkeypatch, f, g):
-    """Make the solve's second carried residual read zero.
+def _terms_after_step(obj, alpha, phi, terms, g):
+    """The terms a solve builds at phi, the iterate it stepped to by alpha
+    along obj: into the arrays of ``terms``, with obj's beta pair when its
+    last evaluation was at alpha."""
+    terms = linear_terms(phi, g, out=terms)
+    if alpha == obj.at:
+        terms.beta, terms.beta_prime = obj.beta_pair
+    return terms
 
-    Returns the list that receives the norm of each residual on fresh terms
-    after the first: the closing residuals, built from the iterate itself.
-    """
+
+def _spy_residuals(monkeypatch):
+    """Record each residual map a solve computes, with a copy of its iterate."""
     real = fchsim.solver.nonlinear_map
-    calls = {"n": 0, "carried": 0}
-    scratch = []
+    seen = []
 
-    def lying(phi_, dt_, grid, pp, terms=None):
-        calls["n"] += 1
-        if calls["n"] > 1 and terms.lap is not None:
-            out = real(phi_, dt_, grid, pp, terms)
-            scratch.append(norm(f - out, g, "l2"))
-            return out
-        calls["carried"] += 1
-        return f.copy() if calls["carried"] == 2 else real(phi_, dt_, grid, pp, terms)
+    def spy(phi, dt, grid, pp, terms=None):
+        out = real(phi, dt, grid, pp, terms)
+        seen.append((phi.copy(), out.copy()))
+        return out
 
-    monkeypatch.setattr(fchsim.solver, "nonlinear_map", lying)
-    return scratch
+    monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
+    return seen
 
 
 class TestPsdSolve:
@@ -534,46 +537,36 @@ class TestPsdSolve:
         with_terms = nonlinear_map(phi, dt, g, PP, linear_terms(phi, g))
         assert np.array_equal(with_terms, nonlinear_map(phi, dt, g, PP))
 
-    def test_carried_terms_match_a_rebuild(self, monkeypatch):
-        # a multi-iteration solve on a spinodal state: the terms carried to
-        # each iterate agree with the ones rebuilt from it to within 50 ulps
-        # of the field's size per iteration
-        from fchsim.scenarios import init_spinodal, well_depth
-
+    def test_every_residual_is_the_one_from_scratch(self, monkeypatch):
+        # on a multi-iteration spinodal solve, each iteration computes one
+        # residual map, with the bits of N(phi) from scratch at its iterate
         g = Grid.square(32)
         pp = PhysParams(eps=0.016, eta=8.0, lam=well_depth(0.9), p=1)
         cfg = SolverConfig(theta1=8.0, theta2=100.0, tol_res=1e-9)
-        carried = []
-        real = fchsim.solver.nonlinear_map
-
-        def spy(phi, dt, grid, pp, terms=None):
-            if terms is not None:
-                carried.append((phi.copy(), terms.bilap.copy(), [a.copy() for a in terms.dphi],
-                                terms.gsq.copy()))
-            return real(phi, dt, grid, pp, terms)
-
-        monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
+        seen = _spy_residuals(monkeypatch)
         _, report = psd_solve(init_spinodal(g, 3), 2e-4, g, pp, cfg, SpectralWorkspace(g))
-        # one residual per iteration, and the closing one on fresh terms
-        assert report.iterations >= 5 and len(carried) == report.iterations + 2
-        for it, (phi, bilap, dphi, gsq) in enumerate(carried):
-            fresh = linear_terms(phi, g)
-            bound = 50 * np.finfo(float).eps * max(it, 1)
-            for got, want in [(bilap, fresh.bilap), (gsq, fresh.gsq), *zip(dphi, fresh.dphi)]:
-                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+        for phi, got in seen:
+            assert got.tobytes() == nonlinear_map(phi, 2e-4, g, pp).tobytes()
+        assert report.iterations >= 5 and len(seen) == report.iterations + 1
 
-    def test_only_a_from_scratch_residual_ends_the_solve(self, monkeypatch):
-        # the carried residual at the first step reads zero; the residual from
-        # scratch misses the tolerance, so the solve goes on
+    def test_the_first_residual_within_tolerance_ends_the_solve(self, monkeypatch):
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 46)
         f = rhs_explicit(phi, dt, g, PP)
         tol = CFG.tol_res * max(1.0, norm(f, g, "l2"))
-        scratch = _lie_once(monkeypatch, f, g)
+        seen = _spy_residuals(monkeypatch)
         phi1, report = psd_solve(phi, dt, g, PP, CFG, ws)
-        assert scratch[0] > tol
-        assert report.iterations > 1
-        assert scratch[-1] <= tol and report.residual == scratch[-1]
-        assert norm(nonlinear_map(phi1, dt, g, PP) - f, g, "l2") <= tol
+        norms = [norm(f - out, g) for _, out in seen]
+        assert report.iterations == len(norms) - 1 > 1
+        assert min(norms[:-1]) > tol >= norms[-1] == report.residual
+        assert seen[-1][0].tobytes() == phi1.tobytes()
+
+    def test_a_float32_state_solves_in_float64(self):
+        g, ws, phi, rng, dt = make_instance(Grid.square(16), 46)
+        state = phi.astype(np.float32)
+        got, report = psd_solve(state, dt, g, PP, CFG, ws)
+        want, report_want = psd_solve(state.astype(float), dt, g, PP, CFG, ws)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert report == report_want and report.iterations > 0
 
     def test_scheme_residual_identity(self):
         # the solved step satisfies (phi1 - phi0)/dt = lap mu to the tolerance
@@ -759,23 +752,37 @@ class TestPsdSolve:
         assert handed[1] == plain[1]
         assert handed[1].iterations > 0
 
-    @pytest.mark.parametrize("end", ["first", "closing", "missed"])
+    @pytest.mark.parametrize("end", ["first", "closing", "unhanded"])
     def test_report_carries_the_pieces_of_both_states(self, end, monkeypatch):
-        # whichever residual ends the solve, the report holds the pieces of
-        # the returned state with the bits of a rebuild
+        # whether the solve ends at its first iterate, or later on a beta pair
+        # handed by the last line evaluation or on one the residual computed,
+        # the report holds the pieces of the returned state with the bits of
+        # a rebuild
         from fchsim.energy import var_convex
 
         g, ws, phi_n, rng, dt = make_instance(Grid.square(16), 46)
-        f = rhs_explicit(phi_n, dt, g, PP)
         phi_init = None
         if end == "first":
             phi_init, _ = psd_solve(phi_n, dt, g, PP, CFG, ws)
-        if end == "missed":
-            scratch = _lie_once(monkeypatch, f, g)
+        if end == "unhanded":
+            real_search = fchsim.solver.line_minimize
+
+            def search(obj, *args, **kwargs):
+                alpha, exhausted = real_search(obj, *args, **kwargs)
+                obj(0.5 * alpha)  # the last evaluation is not at the step taken
+                return alpha, exhausted
+
+            monkeypatch.setattr(fchsim.solver, "line_minimize", search)
+        real_map, handed = fchsim.solver.nonlinear_map, []
+
+        def spy(phi, dt, grid, pp, terms=None):
+            handed.append(terms.beta is not None)
+            return real_map(phi, dt, grid, pp, terms)
+
+        monkeypatch.setattr(fchsim.solver, "nonlinear_map", spy)
         phi1, report = psd_solve(phi_n, dt, g, PP, CFG, ws, phi_init=phi_init)
         assert (report.iterations == 0) == (end == "first")
-        if end == "missed":
-            assert scratch[0] > CFG.tol_res * max(1.0, norm(f, g, "l2")) >= scratch[-1]
+        assert handed[-1] == (end == "closing")
         fresh, terms = linear_terms(phi1, g), report.terms
         pairs = [(terms.bilap, fresh.bilap), (terms.gsq, fresh.gsq), (terms.lap, fresh.lap),
                  *zip(terms.dphi, fresh.dphi), (terms.beta, beta(phi1)),
@@ -798,22 +805,24 @@ class TestObjectivePool:
 
     @staticmethod
     def held(terms):
-        return [terms.bilap, *terms.dphi, terms.gsq, terms.beta, terms.beta_prime]
+        return [terms.bilap, *terms.dphi, terms.gsq, terms.lap, terms.beta, terms.beta_prime]
 
     @staticmethod
     def owned(obj):
-        # the objective's fields by role
-        return [*obj._work, obj.lap_d, obj._bilap_d, obj._gsq_2b, obj._gsq_c,
-                *obj._dd, *obj._face_p, *obj._face_q]
+        # the objective's fields by the roles that outlive its construction
+        return [*obj._work, obj.lap_d, obj._gsq_2b, obj._gsq_c, *obj._face_p, *obj._face_q]
 
     def test_chain_matches_fresh_objectives(self):
-        # as in a solve: each objective is built on the moved terms, after the
-        # residual at its base point, from the fields of the spent one
+        # as in a solve: each objective is built, after the residual at its
+        # base point, from the fields of the spent one, and each iterate's
+        # terms are rebuilt into the arrays of the last; fresh objectives on
+        # fresh terms give the same bits
         g, pp, cfg, phi, dt = self.spinodal()
         ws = SpectralWorkspace(g)
         f = rhs_explicit(phi, dt, g, pp)
         rng = np.random.default_rng(7)
         pooled, fresh = linear_terms(phi, g), linear_terms(phi, g)
+        arrays = {id(a) for a in self.held(pooled)[:-2]}
         spent = None
         for k in range(6):
             r = f - nonlinear_map(phi, dt, g, pp, pooled)
@@ -824,7 +833,8 @@ class TestObjectivePool:
                 d -= d.mean()
             reused = LineObjective(phi, d, f, dt, g, pp, pooled, _spent=spent)
             assert pooled.beta is None and pooled.beta_prime is None
-            assert len({id(a) for a in self.owned(reused)}) == 15
+            assert len({id(a) for a in reused._fields}) == 15
+            assert not arrays & {id(a) for a in reused._fields}
             if spent is not None:
                 assert all(a is b for a, b in zip(self.owned(reused), self.owned(spent)))
             new = LineObjective(phi, d, f, dt, g, pp, fresh)
@@ -833,21 +843,19 @@ class TestObjectivePool:
             for alpha in alphas:
                 assert reused(alpha) == new(alpha)
                 assert reused.floor == new.floor
-            # k == 3 steps to a point that is not the last evaluated, so the
-            # terms drop their beta pair
+            # k == 3 steps to a point that is not the last evaluated, so no
+            # beta pair is handed on
             alpha = alphas[2] if k == 3 else alphas[-1]
-            reused.advance(alpha)
-            new.advance(alpha)
-            for got, want in zip(self.held(pooled), self.held(fresh)):
-                assert (got is None and want is None) or got.tobytes() == want.tobytes()
+            phi = phi + alpha * d
+            pooled = _terms_after_step(reused, alpha, phi, pooled, g)
+            fresh = linear_terms(phi, g)
+            assert {id(a) for a in self.held(pooled)[:-2]} == arrays
+            for got, want in zip(self.held(pooled)[:-2], self.held(fresh)):
+                assert got.tobytes() == want.tobytes()
             assert (pooled.beta is None) == (k == 3)
             if k != 3:
                 assert pooled.beta is reused._work[3] and pooled.beta_prime is reused._work[4]
-            assert not {id(a) for a in self.held(pooled)[:-2]} & {
-                id(a) for a in self.owned(reused)
-            }
             spent = reused
-            phi = phi + alpha * d
 
     def test_solve_matches_one_without_the_pool(self, monkeypatch):
         g, pp, cfg, phi, dt = self.spinodal()
@@ -864,8 +872,8 @@ class TestObjectivePool:
         assert report_pooled == report_fresh
 
     def test_handed_pair_is_beta_of_the_iterate(self, monkeypatch):
-        # every carried residual reads the pair the last objective handed
-        # on; it is beta and beta' of the iterate
+        # every residual after the first reads the pair the last objective
+        # handed on; it is beta and beta' of the iterate
         g, pp, cfg, phi, dt = self.spinodal()
         real = fchsim.solver.nonlinear_map
         handed = []
@@ -903,7 +911,7 @@ class TestObjectivePool:
         assert peaks[0] >= 15 * field
         assert max(peaks[1:]) < field
 
-    def test_solve_frees_the_objective_before_its_closing_residual(self):
+    def test_solve_peaks_under_33_fields(self):
         g, pp, cfg, phi, dt = self.spinodal()
         ws = SpectralWorkspace(g)
         precond_symbol(ws, dt, pp, cfg)  # kept between solves, so not counted
@@ -925,10 +933,11 @@ class TestTracedCallContract:
     def test_step_cap_is_taken_inside_line_minimize(self, monkeypatch):
         g, ws, phi, rng, dt = make_instance(Grid.square(16), 45)
         events = []
+        directions = []
         depth = 0
         real_search = fchsim.solver.line_minimize
         real_cap = fchsim.solver.admissible_step_cap
-        real_advance = LineObjective.advance
+        real_terms = fchsim.solver.linear_terms
 
         def search(*args, **kwargs):
             nonlocal depth
@@ -944,17 +953,28 @@ class TestTracedCallContract:
             events.append(("cap", depth))
             return real_cap(*args)
 
-        def advance(self, alpha):
-            events.append(("advance", alpha))
-            real_advance(self, alpha)
+        def terms(phi, grid, out=None):
+            events.append(("terms", phi.copy()))
+            return real_terms(phi, grid, out)
+
+        class Recorded(LineObjective):
+            def __init__(self, phi, d, *args, **kwargs):
+                directions.append(d.copy())
+                super().__init__(phi, d, *args, **kwargs)
 
         monkeypatch.setattr(fchsim.solver, "line_minimize", search)
         monkeypatch.setattr(fchsim.solver, "admissible_step_cap", cap)
-        monkeypatch.setattr(LineObjective, "advance", advance)
+        monkeypatch.setattr(fchsim.solver, "linear_terms", terms)
+        monkeypatch.setattr(fchsim.solver, "LineObjective", Recorded)
         _, report = psd_solve(phi, dt, g, PP, CFG, ws)
         assert report.iterations >= 2
-        assert [kind for kind, _ in events] == ["cap", "line_minimize", "advance"] * report.iterations
-        for (_, cap_depth), (_, result), (_, alpha) in zip(*[iter(events)] * 3):
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["terms"] + ["cap", "line_minimize", "terms"] * report.iterations
+        _, phi = events[0]
+        steps = zip(*[iter(events[1:])] * 3)
+        for ((_, cap_depth), (_, result), (_, phi_next)), d in zip(steps, directions):
             assert cap_depth == 1
             assert isinstance(result, tuple) and isinstance(result[0], float)
-            assert result[0] == alpha
+            # element [0] is the step the solve takes
+            assert phi_next.tobytes() == (phi + result[0] * d).tobytes()
+            phi = phi_next
