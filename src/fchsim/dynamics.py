@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Optional
 
@@ -168,6 +169,7 @@ def step(
     the terms the solve returns; the ``fchsim.energy`` module docstring
     lists these hand-offs.
     """
+    phi = np.asarray(phi, dtype=float)  # the step runs in float64
     mass_before = mass_ref if mass_ref is not None else float(np.mean(phi))
     if prev_total is None and source is None:
         prev_total = energy_total(phi, grid, pp).total
@@ -390,32 +392,16 @@ def _extrapolate(
 
     ``states`` holds one to four states, newest first, and ``gaps`` the
     time between consecutive ones (h1 = t_n - t_{n-1}, h2 = t_{n-1} - t_{n-2},
-    h3 = t_{n-2} - t_{n-3}).  One state gives None, two the line through
-    them, three the parabola and four the cubic.
+    ...).  With a_j the age of state j (a_0 = 0, a_j = h1 + ... + hj), its
+    weight is the Lagrange basis polynomial prod_{i != j} (tau + a_i) /
+    (a_i - a_j).  One state gives None.
     """
     if len(states) == 1:
         return None
-    phi, phi1 = states[0], states[1]
-    h1 = gaps[0]
-    if len(states) == 2:
-        return phi + (tau / h1) * (phi - phi1)
-    phi2, h2 = states[2], gaps[1]
-    if len(states) == 3:
-        weights = (
-            (tau + h1) * (tau + h1 + h2) / (h1 * (h1 + h2)),
-            -tau * (tau + h1 + h2) / (h1 * h2),
-            tau * (tau + h1) / ((h1 + h2) * h2),
-        )
-    else:
-        h3 = gaps[2]
-        s1, s2, s3 = h1 + h2, h2 + h3, h1 + h2 + h3
-        weights = (
-            (tau + h1) * (tau + s1) * (tau + s3) / (h1 * s1 * s3),
-            -tau * (tau + s1) * (tau + s3) / (h1 * h2 * s2),
-            tau * (tau + h1) * (tau + s3) / (s1 * h2 * h3),
-            -tau * (tau + h1) * (tau + s1) / (s3 * s2 * h3),
-        )
-    out = weights[0] * phi
+    ages = [0.0, *accumulate(gaps)]
+    weights = [math.prod((tau + a_i) / (a_i - a_j) for i, a_i in enumerate(ages) if i != j)
+               for j, a_j in enumerate(ages)]
+    out = weights[0] * states[0]
     work = np.empty_like(out)
     for w, state in zip(weights[1:], states[1:]):
         out += np.multiply(state, w, out=work)

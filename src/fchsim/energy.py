@@ -22,6 +22,9 @@ N(phi) = phi/dt - lap var_convex(phi) and the explicit right-hand side
 f = phi_old/dt - lap var_concave(phi_old), so that one step solves
 N(phi_new) = f.
 
+Every function here that takes a state converts it to float64 first, so a
+float32 or integer state gives the bits of the same values in float64.
+
 The mixed gradient term is evaluated exactly as written, face-square then
 cell-average; the convexity of E_c depends on that ordering.  The biharmonic
 is two Laplacian applications, never a fused stencil.
@@ -148,6 +151,7 @@ def linear_terms(
     any more: the new terms are built into its arrays, with the bits of a
     build into fresh ones, and returned with no other piece set.
     """
+    phi = np.asarray(phi, dtype=float)
     if out is None:
         lap = bilap = gsq = None
         dphi = [None] * grid.ndim
@@ -172,6 +176,7 @@ def energy_total(
     and beta'(phi) too when they carry it.  beta(phi) always comes from
     ``mixing_family``.
     """
+    phi = np.asarray(phi, dtype=float)
     require_admissible(phi, "energy argument")
     B, F, b = mixing_family(phi, pp)
     if terms is None:
@@ -216,6 +221,7 @@ def var_convex(
     result is recorded on the terms as ``convex``.  The beta kernels raise
     PotentialDomainError on an inadmissible phi.
     """
+    phi = np.asarray(phi, dtype=float)
     if terms is None:
         terms = linear_terms(phi, grid)
     if terms.beta is None:
@@ -250,6 +256,7 @@ def var_concave(
     pieces are computed from phi, and the beta kernels raise
     PotentialDomainError on an inadmissible phi.
     """
+    phi = np.asarray(phi, dtype=float)
     if terms is None:
         lap, b, b1 = laplacian(phi, grid), beta(phi), beta_prime(phi)
     else:
@@ -277,6 +284,7 @@ def nonlinear_map(
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got {dt}")
+    phi = np.asarray(phi, dtype=float)
     return phi / dt - laplacian(var_convex(phi, grid, pp, terms), grid)
 
 
@@ -296,6 +304,7 @@ def rhs_explicit(
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got {dt}")
+    phi_old = np.asarray(phi_old, dtype=float)
     if concave is None:
         concave = var_concave(phi_old, grid, pp)
     return phi_old / dt - laplacian(concave, grid)

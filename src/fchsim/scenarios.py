@@ -30,14 +30,14 @@ derivative is a single resolved mode, so it is sampled at the cell centers
 directly.
 
 The refined lattice (16 times the simulation grid at the default
-refinement) is never held whole.  mu is evaluated a block of lattice rows
-at a time, a fixed number of points per block, and each block is
-transformed along its rows at once, keeping only the columns below the
-simulation grid's Nyquist band.  The transform along the columns then runs
-on those columns alone.  pocketfft transforms each row and each column on
-its own, and each point of mu takes the same operations whatever block it
-is in, so the forcing is bit-identical to one 2D transform of mu evaluated
-on the whole lattice from the same samples.
+refinement) is never held whole.  mu is evaluated on the rows and columns
+named below, those rows are transformed along the rows at once, keeping
+only the columns below the simulation grid's Nyquist band, and the
+transform along the columns then runs on those columns alone.  pocketfft
+transforms each row and each column on its own, and each point of mu takes
+the same operations whatever else is evaluated, so the forcing is
+bit-identical to one 2D transform of mu evaluated on the whole lattice
+from the same samples.
 
 mu is evaluated on about one sixteenth of the lattice.  Phi changes sign
 under a half-period shift of x or of y, and mu is odd in Phi (beta and
@@ -52,16 +52,16 @@ reflection.  Each axis is sampled on [k, m/2) only, with k = (m/2 - R + 1)
 from m/2 on the negated samples of the one half a period before.  Rounding
 to nearest is symmetric in sign, so mu at every copied point is exactly
 mu, or its negation, at an evaluated one, and pocketfft gives equal
-transforms of equal rows and rfft(-v) = -rfft(v) bit for bit.  So in each
-block the columns below k are filled by a negated, reversed copy and those
-from m/2 on by negation before the row transform, the band rows below k
-take their images' transformed rows, and the band rows from m/2 on are the
-negations of the first ones before the column transform.  The midpoint
-(m/2 - R)/2 of a point and its image, where it is a lattice point, is
-evaluated: its cos is a rounded zero, which a negated copy would flip.  The
-R - 1 points between m/2 - R and m/2 have their images in the second half,
-which the half-period shift already fills.  An axis with an odd number of
-points mirrors nothing and is evaluated whole.
+transforms of equal rows and rfft(-v) = -rfft(v) bit for bit.  So in the
+evaluated rows the columns below k are filled by a negated, reversed copy
+and those from m/2 on by negation before the row transform, the band rows
+below k take their images' transformed rows, and the band rows from m/2 on
+are the negations of the first ones before the column transform.  The
+midpoint (m/2 - R)/2 of a point and its image, where it is a lattice point,
+is evaluated: its cos is a rounded zero, which a negated copy would flip.
+The R - 1 points between m/2 - R and m/2 have their images in the second
+half, which the half-period shift already fills.  An axis with an odd
+number of points mirrors nothing and is evaluated whole.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ def init_pearling(
     """
     if not 0 < ell < math.inf:
         raise ValueError(f"interface width factor ell must be positive and finite, got {ell}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
     _require_unit_square(grid, "pearling initial condition")
     x, y = grid.mesh()
     dist = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2)
@@ -185,23 +189,6 @@ def manufactured_state(grid: Grid, t: float) -> np.ndarray:
     return np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y) * (np.cos(t) / np.pi)
 
 
-# Lattice points per block of rows in ``manufactured_forcing``: mu on each
-# block of evaluated rows is evaluated on the evaluated columns, and the
-# block's rows are transformed at once.  At
-# n = 128 (130 of a 512-point axis evaluated) 22 rows make six blocks whose
-# three buffers take 243 KiB, none above glibc's default 128 KiB mmap
-# threshold.  A sweep of the forcing at n = 128 (2 vCPU Xeon, one BLAS
-# thread, the sizes taken in turn in one process, best of 9 rounds of 20
-# calls, two to four passes) read 3.0-3.2 ms per call at 8 rows, 2.3-2.7 ms
-# at 16, 2.1-2.9 ms anywhere from 20 to 65 rows, flat within the host's
-# noise, and 2.6 ms at 130, the evaluated rows in one block.  Minor faults
-# per call were 257 up to 22 rows, 321 at 32 and 616 at 130.  On the
-# manufactured-128 workload 22 rows read 3-7 % lower ``step_ms_p50`` than 32
-# in four of four alternated pairs, and 10.8-11.1 ms against 11.1-11.2 ms
-# at 44 rows and 11.2-11.6 ms at 65 over five rounds.
-_BLOCK_POINTS = 22 * 512
-
-
 def _evaluated_span(m: int, R: int) -> tuple[int, int]:
     """Lattice indices [k, e) whose values are evaluated on an axis of m points.
 
@@ -238,21 +225,20 @@ def _axis_samples(n: int, length: float, R: int) -> np.ndarray:
     return out
 
 
-def _mu_rows(sin_x, cos_x, sin_y, cos_y, cos_t, pp, phi, grad_sq, work, mu):
+def _mu_rows(sin_x, cos_x, sin_y, cos_y, cos_t, pp, mu):
     """mu(Phi) on the lattice rows of ``sin_x``/``cos_x``, written into ``mu``.
 
-    ``phi``, ``grad_sq`` and ``work`` are buffers shaped like ``mu``.  The
-    operations run term by term in the order of the formula in the body,
+    The operations run term by term in the order of the formula in the body,
     so each point gets the bits of that formula evaluated with fresh
     temporaries on the whole lattice.
     """
-    np.multiply(sin_x, cos_y, out=phi)
+    phi = np.multiply(sin_x, cos_y)
     phi *= cos_t / np.pi
     # |grad phi|^2 = gx^2 + gy^2, gx = 2 cos_x cos_y cos t, gy = -2 sin_x sin_y cos t
-    np.multiply(2.0 * cos_x, cos_y, out=grad_sq)
+    grad_sq = np.multiply(2.0 * cos_x, cos_y)
     grad_sq *= cos_t
     grad_sq *= grad_sq
-    np.multiply(-2.0 * sin_x, sin_y, out=work)
+    work = np.multiply(-2.0 * sin_x, sin_y)
     work *= cos_t
     work *= work
     grad_sq += work
@@ -315,25 +301,22 @@ def manufactured_forcing(
     mean (spectrally small) is removed so forced runs conserve the
     discrete mean exactly.
 
-    The refined lattice is never held whole.  mu is evaluated in blocks of
-    ``_BLOCK_POINTS // (refine_factor * ny)`` lattice rows, in block
-    buffers allocated once per call, and each block's rows are transformed
-    at once (``rfft`` along the rows), keeping only the ``ny // 2`` band
-    columns.  The column transform (``fft`` along the columns) then runs on
-    those band columns alone.  The result is bit-identical to one 2D
-    ``rfftn`` of mu on the whole lattice followed by the same truncation:
-    ``rfftn`` is a row ``rfft`` then a column ``fft``, and pocketfft
-    transforms each row and each column on its own, while each point of mu
-    takes the same operations in the same order whatever block it is in.
+    The refined lattice is never held whole.  mu is evaluated on the
+    lattice rows [k0, e0) and columns [k1, e1) only, about a quarter of
+    each axis (``_evaluated_span``; on an odd axis the whole of it), and
+    those rows are transformed at once (``rfft`` along the rows), keeping
+    only the ``ny // 2`` band columns.  The column transform (``fft`` along
+    the columns) then runs on those band columns alone.  The result is
+    bit-identical to one 2D ``rfftn`` of mu on the whole lattice followed
+    by the same truncation: ``rfftn`` is a row ``rfft`` then a column
+    ``fft``, and pocketfft transforms each row and each column on its own,
+    while each point of mu takes the same operations in the same order.
 
-    mu is evaluated on the lattice rows [k0, e0) and columns [k1, e1) only,
-    about a quarter of each axis (``_evaluated_span``; on an odd axis the
-    whole of it), and only those rows are transformed.  The columns below
-    k1 are filled by a negated, reversed copy of their images and those
-    from e1 by negating the first ones before each row transform.  The band
-    rows below k0 copy the transforms of their images, and those from e0
-    on are the negations of the first ones before the column transform.
-    The module docstring says why these copies are exact.
+    The columns below k1 are filled by a negated, reversed copy of their
+    images and those from e1 by negating the first ones before the row
+    transform.  The band rows below k0 copy the transforms of their images,
+    and those from e0 on are the negations of the first ones before the
+    column transform.  The module docstring says why these copies are exact.
     """
     _require_unit_square(grid, "manufactured forcing")
     _require_finite_time(t)
@@ -358,23 +341,12 @@ def manufactured_forcing(
     sin_x, cos_x = sin_x[:, None], cos_x[:, None]
     cos_t = np.cos(t)
 
-    rows = min(e0 - k0, max(1, _BLOCK_POINTS // m1))
-    blocks = np.empty((3, rows, e1 - k1))
-    mu_block = np.empty((rows, m1))
-    spec = np.empty((rows, m1 // 2 + 1), dtype=complex)
+    mu = np.empty((e0 - k0, m1))
+    _mu_rows(sin_x[k0:e0], cos_x[k0:e0], sin_y[k1:e1], cos_y[k1:e1], cos_t, pp, mu[:, k1:e1])
+    np.negative(mu[:, r1 : r1 - k1 : -1], out=mu[:, :k1])
+    np.negative(mu[:, : m1 - e1], out=mu[:, e1:])
     band = np.empty((m0, half1), dtype=complex)
-    for lo in range(k0, e0, rows):
-        hi = min(lo + rows, e0)
-        phi, grad_sq, work = blocks[:, : hi - lo]
-        mu = mu_block[: hi - lo]
-        _mu_rows(
-            sin_x[lo:hi], cos_x[lo:hi], sin_y[k1:e1], cos_y[k1:e1], cos_t, pp,
-            phi, grad_sq, work, mu[:, k1:e1],
-        )
-        np.negative(mu[:, r1 : r1 - k1 : -1], out=mu[:, :k1])
-        np.negative(mu[:, : m1 - e1], out=mu[:, e1:])
-        np.fft.rfft(mu, axis=1, out=spec[: hi - lo])
-        band[lo:hi] = spec[: hi - lo, :half1]
+    band[k0:e0] = np.fft.rfft(mu, axis=1)[:, :half1]
     band[:k0] = band[r0 : r0 - k0 : -1]
     np.negative(band[: m0 - e0], out=band[e0:])
     np.fft.fft(band, axis=0, out=band)

@@ -500,7 +500,7 @@ def psd_solve(
 
     ``concave`` may carry var_concave(phi_n), for ``rhs_explicit``, which
     also checks that dt is positive.  The solve works in float64 whatever
-    the dtype of ``phi_n``.
+    the dtype of ``phi_n`` and ``phi_init``.
     ``phi_n``, ``phi_init``, ``source`` and ``concave`` must have the grid's
     shape, and ``ws`` must be built on ``grid``; otherwise a ValueError
     names the argument.
@@ -532,6 +532,7 @@ def psd_solve(
 
     phi = None
     if phi_init is not None:
+        phi_init = np.asarray(phi_init, dtype=float)
         headroom = 1.0 - 0.5 * (1.0 - _sup(phi_n))
         candidate = phi_init + (np.mean(phi_n) - np.mean(phi_init))
         if _sup(candidate) <= headroom:

@@ -394,10 +394,11 @@ def manufactured_forcing_reference(grid: Grid, t: float, pp, refine_factor: int 
 
 
 # The manufactured forcing evaluated on the whole refined lattice, in three
-# lattice buffers, with one 2D transform of mu: the reference that the
-# blocked ``fchsim.scenarios.manufactured_forcing``, which evaluates mu on
-# about one sixteenth of the lattice, must match bit for bit.  Its axis
-# samples follow the same rule, and mu is evaluated at every lattice point.
+# lattice buffers, with one 2D transform of mu: the reference that
+# ``fchsim.scenarios.manufactured_forcing``, which evaluates mu on about
+# one sixteenth of the lattice and transforms only the band columns along
+# the columns, must match bit for bit.  Its axis samples follow the same
+# rule, and mu is evaluated at every lattice point.
 
 
 def _antisymmetric_axis(n: int, length: float, R: int) -> tuple[np.ndarray, np.ndarray]:

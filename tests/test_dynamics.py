@@ -347,6 +347,24 @@ class TestPredictor:
         assert np.max(np.abs(got - (a + 0.25 * b))) <= 1e-14 * np.max(np.abs(a + 0.25 * b))
         assert _extrapolate([a], [], 0.05) is None
 
+    def test_reproduces_cubic_in_time(self):
+        field = _cubic_in_time((8, 8), 75)
+        h1, h2, h3, tau, t_n = 0.3, 0.7, 0.2, 0.45, 1.1
+        times = [t_n, t_n - h1, t_n - h1 - h2, t_n - h1 - h2 - h3]
+        got = _extrapolate([field(t) for t in times], [h1, h2, h3], tau)
+        want = field(t_n + tau)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "weights", [[2, -1], [3, -3, 1], [4, -6, 4, -1]], ids=["linear", "quadratic", "cubic"]
+    )
+    def test_weights_at_equal_steps(self, weights):
+        # unit states read the weights off; at equal steps they are the
+        # binomial ones, whose absolute sums are 3, 7 and 15
+        k = len(weights)
+        got = _extrapolate(list(np.eye(k)), [1e-3] * (k - 1), 1e-3)
+        assert got == pytest.approx(weights, rel=1e-12)
+
     def test_cubic_seed_reproduces_cubic_in_time(self):
         field = _cubic_in_time((8, 8), 72)
         h1, h2, h3, tau, t_n = 0.3, 0.7, 0.2, 0.45, 1.1
@@ -523,6 +541,27 @@ class TestDriverArguments:
         assert max(rec.psd_iters for rec in want) > 0
         assert phi_got.dtype == np.float64 and phi_got.tobytes() == phi_want.tobytes()
         assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
+
+        # the entry points that take a state directly, and step's seed
+        def outputs(phi):
+            terms = fchsim.energy.linear_terms(phi, g)
+            source = source_fn(0.0) if source_fn is not None else None
+            steps = [step(phi, dt, g, pp, cfg, SpectralWorkspace(g), source=source, phi_init=seed)
+                     for seed in (None, phi)]
+            fields = [terms.bilap, *terms.dphi, terms.gsq, terms.lap,
+                      fchsim.energy.var_convex(phi, g, pp),
+                      fchsim.energy.var_concave(phi, g, pp),
+                      fchsim.energy.nonlinear_map(phi, dt, g, pp),
+                      fchsim.energy.rhs_explicit(phi, dt, g, pp),
+                      *(a for phi_new, _, concave in steps for a in (phi_new, concave))]
+            energies = dataclasses.astuple(energy_total(phi, g, pp))
+            return ([a.dtype for a in fields], [a.tobytes() for a in fields],
+                    [np.float64(e).tobytes() for e in energies],
+                    [_record_bytes(rec) for _, rec, _ in steps])
+
+        got, want = outputs(state), outputs(state.astype(float))
+        assert got[0] == [np.float64] * len(got[0])
+        assert got == want
 
 
 class TestAdvanceAdaptive:

@@ -69,6 +69,12 @@ class TestPearling:
         for ell in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="ell must be positive"):
                 init_pearling(Grid.square(16), ell=ell, eps=0.03)
+        for eps in (np.nan, 0.0, np.inf, -0.03):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                init_pearling(Grid.square(16), ell=0.35, eps=eps)
+        for center in ((np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf)):
+            with pytest.raises(ValueError, match="center must be finite"):
+                init_pearling(Grid.square(16), ell=0.35, eps=0.03, center=center)
         with pytest.raises(ValueError):
             init_pearling(Grid((16, 16), (2.0, 2.0)), ell=0.3, eps=0.03)
 
@@ -198,21 +204,19 @@ class TestManufacturedForcing:
             assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
 
     @pytest.mark.parametrize(
-        "shape",
-        [(5, 7), (15, 15), (16, 24), (33, 17), (16, 15), (16, 16), (6, 6)],
-        ids=lambda s: f"{s[0]}x{s[1]}",
+        "shape, refine",
+        [pytest.param(shape, refine, id=f"{label}-{shape[0]}x{shape[1]}")
+         for refine, label in ((4, "R4"), (np.int64(5), "R5-int64"), (8, "R8"))
+         for shape in ((5, 7), (15, 15), (16, 24), (33, 17), (16, 15), (16, 16), (6, 6))]
+        + [pytest.param((128, 128), 4, id="R4-128x128")],
     )
-    @pytest.mark.parametrize("refine", [4, np.int64(5), 8], ids=["R4", "R5-int64", "R8"])
-    @pytest.mark.parametrize("block_points", [None, 300], ids=["block-default", "block300"])
-    def test_blocks_match_whole_lattice_bit_for_bit(self, shape, refine, block_points, monkeypatch):
-        # row blocks that do not divide the lattice (300 points give blocks
-        # of 1 to 10 rows here), odd and unequal sizes; 16 x 16 at R = 5 puts
-        # the lattice half a point off the reflection's axis (m = 80, no
-        # fixed point), 15 x 15 at R = 4 has odd cell counts on an even
-        # lattice and 6 x 6 at R = 4 a first half of only 12 points; eps =
-        # 0.3 makes powers of eps inexact, so folded constants show
-        if block_points is not None:
-            monkeypatch.setattr(scenarios, "_BLOCK_POINTS", block_points)
+    def test_matches_whole_lattice_bit_for_bit(self, shape, refine):
+        # odd and unequal sizes; 16 x 16 at R = 5 puts the lattice half a
+        # point off the reflection's axis (m = 80, no fixed point), 15 x 15
+        # at R = 4 has odd cell counts on an even lattice, 6 x 6 at R = 4 a
+        # first half of only 12 points and 128 x 128 at R = 4 is the bench's
+        # size; eps = 0.3 makes powers of eps inexact, so folded constants
+        # show
         g = Grid(shape, (1.0, 1.0))
         for pp in (PP_CONV, PhysParams(eps=0.3, eta=2.0, lam=2.5, p=1)):
             for t in (0.0, 0.37, 1.1, math.pi / 2):
