@@ -208,15 +208,22 @@ class TestManufacturedForcing:
         [pytest.param(shape, refine, id=f"{label}-{shape[0]}x{shape[1]}")
          for refine, label in ((4, "R4"), (np.int64(5), "R5-int64"), (8, "R8"))
          for shape in ((5, 7), (15, 15), (16, 24), (33, 17), (16, 15), (16, 16), (6, 6))]
-        + [pytest.param((128, 128), 4, id="R4-128x128")],
+        + [pytest.param((128, 128), 4, id="R4-128x128")]
+        + [pytest.param(shape, refine, id=f"R{refine}-{shape[0]}x{shape[1]}")
+           for refine in (6, 7)
+           for shape in ((5, 7), (15, 15), (16, 24), (33, 17), (16, 15), (16, 16), (6, 6))]
+        + [pytest.param((4, shape_1), refine, id=f"R{refine}-4x{shape_1}")
+           for refine in (4, 5, 8) for shape_1 in (4, 9)],
     )
     def test_matches_whole_lattice_bit_for_bit(self, shape, refine):
         # odd and unequal sizes; 16 x 16 at R = 5 puts the lattice half a
         # point off the reflection's axis (m = 80, no fixed point), 15 x 15
         # at R = 4 has odd cell counts on an even lattice, 6 x 6 at R = 4 a
         # first half of only 12 points and 128 x 128 at R = 4 is the bench's
-        # size; eps = 0.3 makes powers of eps inexact, so folded constants
-        # show
+        # size; R = 6 is even but not a power of two and R = 7 gives an even
+        # lattice on an even axis from an odd factor; 4 cells is the fewest
+        # the forcing takes (4 x 4 at R = 4: k = 2 and only 6 evaluated rows);
+        # eps = 0.3 makes powers of eps inexact, so folded constants show
         g = Grid(shape, (1.0, 1.0))
         for pp in (PP_CONV, PhysParams(eps=0.3, eta=2.0, lam=2.5, p=1)):
             for t in (0.0, 0.37, 1.1, math.pi / 2):
@@ -234,8 +241,11 @@ class TestManufacturedForcing:
         ((15, 15), 4, 30 - 13, 30 - 13),  # odd cell counts, m = 60: k = 13
         ((6, 6), 4, 12 - 4, 12 - 4),  # m = 24: k = 4
         ((128, 128), 4, 256 - 126, 256 - 126),  # m = 512: k = 126
+        ((4, 4), 4, 8 - 2, 8 - 2),  # m = 16: k = 2
+        ((16, 16), 7, 56 - 25, 56 - 25),  # m = 112: k = 25
     ]
-    UNMIRRORED_IDS = ["16x16-R4", "16x16-R5", "5x7-R5", "16x15-R5", "15x15-R4", "6x6-R4", "128x128-R4"]
+    UNMIRRORED_IDS = ["16x16-R4", "16x16-R5", "5x7-R5", "16x15-R5", "15x15-R4", "6x6-R4", "128x128-R4",
+                      "4x4-R4", "16x16-R7"]
 
     @pytest.mark.parametrize("shape, refine, rows, cols", UNMIRRORED, ids=UNMIRRORED_IDS)
     def test_mu_is_evaluated_on_the_unmirrored_part(self, shape, refine, rows, cols, monkeypatch):
@@ -266,7 +276,8 @@ class TestManufacturedForcing:
         assert {c for _, c in transformed} == {refine * shape[1]}
 
     @pytest.mark.parametrize(
-        "n, refine", [(16, 4), (15, 4), (16, 5), (15, 5), (7, 5), (6, 4), (128, 4)]
+        "n, refine",
+        [(16, 4), (15, 4), (16, 5), (15, 5), (7, 5), (6, 4), (128, 4), (4, 4), (16, 6), (16, 7)],
     )
     def test_axis_samples_are_antisymmetric(self, n, refine):
         m = n * refine
